@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cipher
-from .cipher import (
-    BLOCK_BYTES,
-    CipherParams,
-    CipherRecord,
-    SecretKey,
-    SeededRidSource,
-)
+from .cipher import BLOCK_BYTES, CipherParams, SecretKey, SeededRidSource
 
 FLIP_TARGETS = ("plaintext", "key")
 
@@ -83,7 +77,7 @@ def _avalanche_plaintext(
     rids = rng.bytes(trials * BLOCK_BYTES)
     base = cipher._encrypt_padded(plaintexts.tobytes(), key, params, rids)
     var = cipher._encrypt_padded(flipped.tobytes(), key, params, rids)
-    return _cipher_bit_diffs(base, var)
+    return np.unpackbits(base[:, :BLOCK_BYTES] ^ var[:, :BLOCK_BYTES], axis=1)
 
 
 def _avalanche_key(
@@ -95,16 +89,10 @@ def _avalanche_key(
         rid = rng.bytes(BLOCK_BYTES)
         position = int(rng.integers(0, 8 * len(key.raw)))
         flipped_key = cipher.parse_key(_flip_bit(key.raw, position))
-        base = cipher.encrypt_block(plaintext, key, params, rid)
-        var = cipher.encrypt_block(plaintext, flipped_key, params, rid)
-        diffs[t] = _cipher_bit_diffs([base], [var])[0]
+        base = cipher._encrypt_padded(plaintext, key, params, rid)
+        var = cipher._encrypt_padded(plaintext, flipped_key, params, rid)
+        diffs[t] = np.unpackbits(base[0, :BLOCK_BYTES] ^ var[0, :BLOCK_BYTES])
     return diffs
-
-
-def _cipher_bit_diffs(base: list[CipherRecord], var: list[CipherRecord]) -> np.ndarray:
-    a = np.frombuffer(b"".join(r.ciphertext for r in base), dtype=np.uint8)
-    b = np.frombuffer(b"".join(r.ciphertext for r in var), dtype=np.uint8)
-    return np.unpackbits(a ^ b).reshape(len(base), 8 * BLOCK_BYTES)
 
 
 # --- throughput ------------------------------------------------------------
@@ -125,32 +113,18 @@ class ThroughputReport:
         return self.encrypt_multi_mbps / self.encrypt_single_mbps
 
 
-def _encrypt_slab(args) -> bytes:
+def _encrypt_slab(args) -> np.ndarray:
     raw_key, rounds, caf_steps, padded, rids = args
-    records = cipher._encrypt_padded(
+    return cipher._encrypt_padded(
         padded, cipher.parse_key(raw_key), CipherParams(rounds, caf_steps), rids
     )
-    return b"".join(r.payload() for r in records)
 
 
 def _decrypt_slab(args) -> bytes:
-    raw_key, rounds, caf_steps, payloads = args
-    records = _records_from_payloads(payloads, rounds, caf_steps)
+    raw_key, rounds, caf_steps, records = args
     return cipher._decrypt_records_raw(
         records, cipher.parse_key(raw_key), CipherParams(rounds, caf_steps)
     )
-
-
-def _records_from_payloads(payloads: bytes, rounds: int, caf_steps: int) -> list[CipherRecord]:
-    return [
-        CipherRecord(
-            ciphertext=payloads[at : at + BLOCK_BYTES],
-            encrypted_final_data=payloads[at + BLOCK_BYTES : at + 2 * BLOCK_BYTES],
-            rounds=rounds,
-            caf_steps=caf_steps,
-        )
-        for at in range(0, len(payloads), 2 * BLOCK_BYTES)
-    ]
 
 
 def _slab_bounds(n_blocks: int, workers: int) -> list[tuple[int, int]]:
@@ -193,7 +167,6 @@ def throughput_bench(
     t_dec = time.perf_counter() - t0
     round_trip_ok = cipher.unpad(serial_padded) == payload
 
-    serial_payloads = b"".join(r.payload() for r in serial_records)
     bounds = _slab_bounds(n_blocks, workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         list(pool.map(int, range(workers)))  # spin the workers up
@@ -217,7 +190,7 @@ def throughput_bench(
                 key.raw,
                 params.rounds,
                 params.caf_steps,
-                serial_payloads[lo * 2 * BLOCK_BYTES : hi * 2 * BLOCK_BYTES],
+                serial_records[lo:hi],
             )
             for lo, hi in bounds
         ]
@@ -225,7 +198,10 @@ def throughput_bench(
         dec_parts = list(pool.map(_decrypt_slab, dec_args))
         t_dec_multi = time.perf_counter() - t0
 
-    parallel_ok = b"".join(enc_parts) == serial_payloads and b"".join(dec_parts) == serial_padded
+    parallel_ok = (
+        np.array_equal(np.concatenate(enc_parts), serial_records)
+        and b"".join(dec_parts) == serial_padded
+    )
 
     return ThroughputReport(
         megabytes=megabytes,

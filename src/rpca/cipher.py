@@ -17,7 +17,11 @@ row, and undoes the rounds. Each block therefore costs twice its size on the
 wire, and encryption is randomized through the injected rid values.
 
 All operations here are pure given an explicit rid; batch variants process
-a whole stream of blocks as one numpy matrix.
+a whole stream of blocks as one numpy matrix. A stream's records are one
+read-only (n, 32) uint8 array, row i holding block i's wire record (16
+ciphertext bytes, then 16 masked final-data bytes); the parameters live only
+in CipherParams, as they live only in the container header on disk.
+CipherRecord is the single-block view returned by encrypt_block.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ import secrets
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from .second_order import SecondOrderState, so_iterate_backward, so_iterate_forw
 
 BLOCK_BYTES = 16
 BLOCK_BITS = 128
+RECORD_BYTES = 2 * BLOCK_BYTES
 KEY_BYTES = 32
 CA_RADIUS = 3
 MATERIAL_HISTORY = 4  # configurations kept per round: q_n .. q_{n-3}
@@ -99,7 +104,7 @@ def parse_key(raw: bytes) -> SecretKey:
 
 @dataclass(frozen=True)
 class CipherParams:
-    """Round count and CA step count; echoed into every record."""
+    """Round count and CA step count; echoed by CipherRecord and the container header."""
 
     rounds: int = DEFAULT_ROUNDS
     caf_steps: int = DEFAULT_CAF_STEPS
@@ -124,16 +129,11 @@ class RoundMaterial:
 
 
 @dataclass(frozen=True)
-class FinalData:
-    """The automaton's last configuration, transmitted beside the ciphertext."""
-
-    value: bytes
-    masked: bool = False
-
-
-@dataclass(frozen=True)
 class CipherRecord:
-    """Per-block output: ciphertext, masked final data, parameter echo."""
+    """Single-block view of one wire record, with the parameters echoed.
+
+    Streams carry records as rows of an (n, 32) uint8 array instead.
+    """
 
     ciphertext: bytes
     encrypted_final_data: bytes
@@ -364,34 +364,46 @@ def round_inverse(state: bytes, key: SecretKey, round_index: int) -> bytes:
 
 # --- the 128-cell core -------------------------------------------------------
 
+def _caf_forward(states: np.ndarray, rids: np.ndarray, key: SecretKey, caf_steps: int):
+    """Run the block-wide automaton forward from (rid, state) rows of bytes.
+
+    Returns (ciphertext, final data) as byte rows: the pair of configurations
+    left at the end of the run, next-to-last first.
+    """
+    pair = SecondOrderState(np.unpackbits(rids, axis=-1), np.unpackbits(states, axis=-1))
+    out = so_iterate_forward(pair, _caf_rule(key.caf_segment), Boundary.CYCLIC, caf_steps)
+    return np.packbits(out.prev, axis=-1), np.packbits(out.curr, axis=-1)
+
+
+def _caf_backward(
+    ciphertext: np.ndarray, final_data: np.ndarray, key: SecretKey, caf_steps: int
+) -> np.ndarray:
+    """Run the automaton backward to the state rows; the recovered rid is discarded."""
+    pair = SecondOrderState(np.unpackbits(ciphertext, axis=-1), np.unpackbits(final_data, axis=-1))
+    back = so_iterate_backward(pair, _caf_rule(key.caf_segment), Boundary.CYCLIC, caf_steps)
+    return np.packbits(back.curr, axis=-1)
+
+
 def caf_core_encrypt(
     state: bytes, rid: bytes, key: SecretKey, caf_steps: int
-) -> tuple[bytes, FinalData]:
+) -> tuple[bytes, bytes]:
     """Run the block-wide automaton forward from (rid, state).
 
-    Returns (ciphertext, final data): the pair of configurations left at the
-    end of the run, next-to-last first.
+    Returns (ciphertext, final data), the latter still unmasked.
     """
     if caf_steps < MIN_CAF_STEPS:
         raise ValueError(f"caf_steps must be >= {MIN_CAF_STEPS}")
-    _check_block(state, "state")
-    _check_block(rid, "rid")
-    pair = SecondOrderState(bits_from_bytes(rid), bits_from_bytes(state))
-    out = so_iterate_forward(pair, _caf_rule(key.caf_segment), Boundary.CYCLIC, caf_steps)
-    return bytes_from_bits(out.prev), FinalData(bytes_from_bits(out.curr), masked=False)
+    state_row = np.frombuffer(_check_block(state, "state"), dtype=np.uint8)
+    rid_row = np.frombuffer(_check_block(rid, "rid"), dtype=np.uint8)
+    c, final = _caf_forward(state_row, rid_row, key, caf_steps)
+    return c.tobytes(), final.tobytes()
 
 
 def caf_core_decrypt(ciphertext: bytes, final_data: bytes, key: SecretKey, caf_steps: int) -> bytes:
-    """Run the automaton backward from (ciphertext, final data).
-
-    Recovers the pre-automaton state; the other recovered configuration is
-    the rid, which is discarded.
-    """
-    _check_block(ciphertext, "ciphertext")
-    _check_block(final_data, "final_data")
-    pair = SecondOrderState(bits_from_bytes(ciphertext), bits_from_bytes(final_data))
-    back = so_iterate_backward(pair, _caf_rule(key.caf_segment), Boundary.CYCLIC, caf_steps)
-    return bytes_from_bits(back.curr)
+    """Run the automaton backward from (ciphertext, final data) to the state."""
+    c = np.frombuffer(_check_block(ciphertext, "ciphertext"), dtype=np.uint8)
+    final = np.frombuffer(_check_block(final_data, "final_data"), dtype=np.uint8)
+    return _caf_backward(c, final, key, caf_steps).tobytes()
 
 
 def mask_final_data(final_data: bytes, key: SecretKey) -> bytes:
@@ -409,16 +421,17 @@ def encrypt_block(
     """Encrypt one 16-byte block with caller-supplied random initial data."""
     _check_block(plaintext, "plaintext")
     _check_block(rid, "rid")
-    records = _encrypt_padded(plaintext, key, params, rid)
-    return records[0]
+    row = _encrypt_padded(plaintext, key, params, rid)[0]
+    return CipherRecord(
+        ciphertext=row[:BLOCK_BYTES].tobytes(),
+        encrypted_final_data=row[BLOCK_BYTES:].tobytes(),
+        rounds=params.rounds,
+        caf_steps=params.caf_steps,
+    )
 
 
 def decrypt_block(record: CipherRecord, key: SecretKey, params: CipherParams) -> bytes:
     """Invert encrypt_block; the record's parameter echo must match."""
-    return _decrypt_records_raw([record], key, params)
-
-
-def _check_record(record: CipherRecord, params: CipherParams) -> None:
     if (record.rounds, record.caf_steps) != (params.rounds, params.caf_steps):
         raise ParameterMismatchError(
             f"record was made with rounds={record.rounds}, caf_steps={record.caf_steps}; "
@@ -426,6 +439,8 @@ def _check_record(record: CipherRecord, params: CipherParams) -> None:
         )
     if len(record.ciphertext) != BLOCK_BYTES or len(record.encrypted_final_data) != BLOCK_BYTES:
         raise RecordFormatError("truncated record: both payload halves must be 16 bytes")
+    row = np.frombuffer(record.payload(), dtype=np.uint8).reshape(1, RECORD_BYTES)
+    return _decrypt_records_raw(row, key, params)
 
 
 # --- stream (multi-block) API -------------------------------------------------
@@ -448,7 +463,7 @@ def unpad(data: bytes) -> bytes:
 
 def _encrypt_padded(
     padded: bytes, key: SecretKey, params: CipherParams, rids: bytes
-) -> list[CipherRecord]:
+) -> np.ndarray:
     """Encrypt whole blocks: `padded` and `rids` are matching 16-byte multiples."""
     n_blocks, rem = divmod(len(padded), BLOCK_BYTES)
     if rem or n_blocks == 0:
@@ -458,56 +473,24 @@ def _encrypt_padded(
     states = np.frombuffer(padded, dtype=np.uint8).reshape(n_blocks, BLOCK_BYTES)
     for material in _round_materials(key.raw, params.rounds):
         states = _round_forward_arr(states, material)
-    state_bits = np.unpackbits(states, axis=1)
-    rid_bits = np.unpackbits(
-        np.frombuffer(rids, dtype=np.uint8).reshape(n_blocks, BLOCK_BYTES), axis=1
-    )
-    out = so_iterate_forward(
-        SecondOrderState(rid_bits, state_bits),
-        _caf_rule(key.caf_segment),
-        Boundary.CYCLIC,
-        params.caf_steps,
-    )
-    cipher_bytes = np.packbits(out.prev, axis=1)
-    final_bytes = np.packbits(out.curr, axis=1)
+    rid_rows = np.frombuffer(rids, dtype=np.uint8).reshape(n_blocks, BLOCK_BYTES)
+    cipher_bytes, final_bytes = _caf_forward(states, rid_rows, key, params.caf_steps)
     masked = final_bytes ^ np.frombuffer(key.caf_segment, dtype=np.uint8)
-    return [
-        CipherRecord(
-            ciphertext=cipher_bytes[i].tobytes(),
-            encrypted_final_data=masked[i].tobytes(),
-            rounds=params.rounds,
-            caf_steps=params.caf_steps,
+    records = np.concatenate([cipher_bytes, masked], axis=1)
+    records.flags.writeable = False
+    return records
+
+
+def _decrypt_records_raw(records: np.ndarray, key: SecretKey, params: CipherParams) -> bytes:
+    """Decrypt an (n, 32) record array to the padded byte stream (no padding removal)."""
+    records = np.asarray(records)
+    if records.dtype != np.uint8 or records.shape[1:] != (RECORD_BYTES,) or not len(records):
+        raise RecordFormatError(
+            f"records must be a non-empty (n, {RECORD_BYTES}) uint8 array, "
+            f"got {records.dtype} {records.shape}"
         )
-        for i in range(n_blocks)
-    ]
-
-
-def _decrypt_records_raw(
-    records: Sequence[CipherRecord], key: SecretKey, params: CipherParams
-) -> bytes:
-    """Decrypt records to the padded byte stream (no padding removal)."""
-    if not records:
-        raise RecordFormatError("empty record sequence")
-    for record in records:
-        _check_record(record, params)
-    cipher_bits = np.unpackbits(
-        np.frombuffer(b"".join(r.ciphertext for r in records), dtype=np.uint8).reshape(
-            len(records), BLOCK_BYTES
-        ),
-        axis=1,
-    )
-    masked = np.frombuffer(
-        b"".join(r.encrypted_final_data for r in records), dtype=np.uint8
-    ).reshape(len(records), BLOCK_BYTES)
-    final_bytes = masked ^ np.frombuffer(key.caf_segment, dtype=np.uint8)
-    final_bits = np.unpackbits(final_bytes, axis=1)
-    back = so_iterate_backward(
-        SecondOrderState(cipher_bits, final_bits),
-        _caf_rule(key.caf_segment),
-        Boundary.CYCLIC,
-        params.caf_steps,
-    )
-    states = np.packbits(back.curr, axis=1)
+    final_bytes = records[:, BLOCK_BYTES:] ^ np.frombuffer(key.caf_segment, dtype=np.uint8)
+    states = _caf_backward(records[:, :BLOCK_BYTES], final_bytes, key, params.caf_steps)
     for material in reversed(_round_materials(key.raw, params.rounds)):
         states = _round_inverse_arr(states, material)
     return states.tobytes()
@@ -518,8 +501,11 @@ def encrypt_stream(
     key: SecretKey,
     params: CipherParams,
     rid_source: Callable[[], bytes],
-) -> list[CipherRecord]:
-    """Pad and encrypt a byte string, one fresh rid per block."""
+) -> np.ndarray:
+    """Pad and encrypt a byte string, one fresh rid per block.
+
+    Returns the read-only (n, 32) uint8 record array, one wire record per row.
+    """
     padded = pad(plaintext)
     n_blocks = len(padded) // BLOCK_BYTES
     rids = []
@@ -531,10 +517,8 @@ def encrypt_stream(
     return _encrypt_padded(padded, key, params, b"".join(rids))
 
 
-def decrypt_stream(
-    records: Sequence[CipherRecord], key: SecretKey, params: CipherParams
-) -> bytes:
-    """Decrypt a record sequence and strip the padding."""
+def decrypt_stream(records: np.ndarray, key: SecretKey, params: CipherParams) -> bytes:
+    """Decrypt an (n, 32) record array and strip the padding."""
     return unpad(_decrypt_records_raw(records, key, params))
 
 

@@ -87,6 +87,26 @@ def _write_key_file(path: Path, key_bytes: bytes) -> None:
         pass  # best effort; not every filesystem supports modes
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write through a temp file in the same directory, then rename it over `path`.
+
+    A failed write leaves any existing file at `path` as it was, and removes
+    the temp file. A device or pipe (e.g. /dev/stdout) cannot be replaced, so
+    it is written directly.
+    """
+    if path.exists() and not path.is_file():
+        path.write_bytes(data)
+        return
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_keygen(args) -> int:
     if args.seed is not None:
         source = SeededRidSource(_parse_seed(args.seed) + b"/keygen")
@@ -109,7 +129,7 @@ def _cmd_encrypt(args) -> int:
         rid_source = os_rid_source
     records = encrypt_stream(data, key, params, rid_source)
     header = ContainerHeader(params.rounds, params.caf_steps, len(data))
-    Path(args.out).write_bytes(write_container(header, records))
+    _write_atomic(Path(args.out), write_container(header, records))
     print(f"encrypted {len(data)} bytes into {len(records)} blocks -> {args.out}")
     return 0
 
@@ -123,7 +143,7 @@ def _cmd_decrypt(args) -> int:
         raise ContainerError(
             f"decrypted length {len(data)} disagrees with header {header.plaintext_length}"
         )
-    Path(args.out).write_bytes(data)
+    _write_atomic(Path(args.out), data)
     print(f"decrypted {len(records)} blocks -> {args.out} ({len(data)} bytes)")
     return 0
 

@@ -8,32 +8,31 @@ Layout, all multi-byte fields big-endian:
     5       1     rounds (1..64)
     6       2     CA step count (2..1024)
     8       8     plaintext length in bytes, before padding
-    16      2     reserved, zero
+    16      2     reserved, must be zero (non-zero is rejected)
     18      ...   records, 32 bytes each: 16 ciphertext + 16 masked final data
 
 Padding always adds at least one byte, so a payload of L bytes carries
 exactly L//16 + 1 records. Convention: files use the `.rpca` extension.
+
+In memory the records are one (n, 32) uint8 array, one wire record per row,
+as returned by `cipher.encrypt_stream`: `write_container` appends its bytes
+to the header, and `read_container` returns a read-only view of the input
+bytes in that shape. The parameters appear once, in the header.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Sequence
 
-from .cipher import (
-    BLOCK_BYTES,
-    MAX_CAF_STEPS,
-    MAX_ROUNDS,
-    MIN_CAF_STEPS,
-    MIN_ROUNDS,
-    CipherRecord,
-)
+import numpy as np
+
+from .cipher import BLOCK_BYTES, RECORD_BYTES, CipherParams
 
 MAGIC = b"RPC1"
 VERSION = 1
 HEADER_LEN = 18
-RECORD_LEN = 2 * BLOCK_BYTES
 _HEADER_STRUCT = struct.Struct(">4sBBHQ2s")
+_RESERVED = b"\x00\x00"
 
 
 class ContainerError(Exception):
@@ -49,7 +48,7 @@ class ContainerLengthError(ContainerError):
 
 
 class ContainerValidationError(ContainerError):
-    """A header field is outside its allowed range."""
+    """A header field is outside its allowed range, or a record array is misshaped."""
 
 
 @dataclass(frozen=True)
@@ -62,71 +61,63 @@ class ContainerHeader:
         return self.plaintext_length // BLOCK_BYTES + 1
 
     def validate(self) -> None:
-        if not MIN_ROUNDS <= self.rounds <= MAX_ROUNDS:
-            raise ContainerValidationError(
-                f"rounds {self.rounds} outside {MIN_ROUNDS}..{MAX_ROUNDS}"
-            )
-        if not MIN_CAF_STEPS <= self.caf_steps <= MAX_CAF_STEPS:
-            raise ContainerValidationError(
-                f"caf_steps {self.caf_steps} outside {MIN_CAF_STEPS}..{MAX_CAF_STEPS}"
-            )
+        try:
+            CipherParams(self.rounds, self.caf_steps)
+        except ValueError as exc:
+            raise ContainerValidationError(f"header: {exc}") from exc
         if self.plaintext_length < 0:
             raise ContainerValidationError("plaintext_length must be >= 0")
 
 
-def write_container(header: ContainerHeader, records: Sequence[CipherRecord]) -> bytes:
-    """Serialize header and records; record count must match the header."""
+def write_container(header: ContainerHeader, records: np.ndarray) -> bytes:
+    """Serialize the header and an (n, 32) uint8 record array; n must match the header."""
     header.validate()
+    records = np.asarray(records)
+    if records.dtype != np.uint8 or records.shape[1:] != (RECORD_BYTES,):
+        raise ContainerValidationError(
+            f"records must be an (n, {RECORD_BYTES}) uint8 array, "
+            f"got {records.dtype} {records.shape}"
+        )
     if len(records) != header.expected_records():
         raise ContainerLengthError(
             f"{len(records)} records for plaintext_length {header.plaintext_length}; "
             f"expected {header.expected_records()}"
         )
-    out = bytearray(
-        _HEADER_STRUCT.pack(
-            MAGIC, VERSION, header.rounds, header.caf_steps, header.plaintext_length, b"\x00\x00"
-        )
+    packed = _HEADER_STRUCT.pack(
+        MAGIC, VERSION, header.rounds, header.caf_steps, header.plaintext_length, _RESERVED
     )
-    for record in records:
-        if (record.rounds, record.caf_steps) != (header.rounds, header.caf_steps):
-            raise ContainerValidationError("record parameter echo disagrees with the header")
-        payload = record.payload()
-        if len(payload) != RECORD_LEN:
-            raise ContainerValidationError("record payload must be 32 bytes")
-        out += payload
-    return bytes(out)
+    return packed + records.tobytes()
 
 
-def read_container(data: bytes) -> tuple[ContainerHeader, list[CipherRecord]]:
-    """Parse bytes produced by write_container; the exact inverse."""
+def read_container(data: bytes) -> tuple[ContainerHeader, np.ndarray]:
+    """Parse bytes produced by write_container; the exact inverse.
+
+    The records come back as a read-only (n, 32) uint8 view of `data`.
+    """
     if len(data) < HEADER_LEN:
         raise ContainerLengthError(f"stream of {len(data)} bytes is shorter than the header")
-    magic, version, rounds, caf_steps, plaintext_length, _reserved = _HEADER_STRUCT.unpack_from(
+    magic, version, rounds, caf_steps, plaintext_length, reserved = _HEADER_STRUCT.unpack_from(
         data
     )
     if magic != MAGIC:
         raise UnsupportedFormatError(f"bad magic {magic!r}; not an RPC1 container")
     if version != VERSION:
         raise UnsupportedFormatError(f"unsupported container version {version}")
+    if reserved != _RESERVED:
+        raise ContainerValidationError(
+            f"reserved header field at offset 16..17 must be zero, got 0x{reserved.hex()}"
+        )
     header = ContainerHeader(rounds=rounds, caf_steps=caf_steps, plaintext_length=plaintext_length)
     header.validate()
     body = len(data) - HEADER_LEN
-    n_records, leftover = divmod(body, RECORD_LEN)
+    n_records, leftover = divmod(body, RECORD_BYTES)
     if leftover:
         raise ContainerLengthError(f"stream length {len(data)} is not 18 + 32*k")
     if n_records != header.expected_records():
         raise ContainerLengthError(
             f"{n_records} records but header announces {header.expected_records()}"
         )
-    records = []
-    for i in range(n_records):
-        at = HEADER_LEN + i * RECORD_LEN
-        records.append(
-            CipherRecord(
-                ciphertext=data[at : at + BLOCK_BYTES],
-                encrypted_final_data=data[at + BLOCK_BYTES : at + RECORD_LEN],
-                rounds=rounds,
-                caf_steps=caf_steps,
-            )
-        )
+    records = np.frombuffer(data, dtype=np.uint8, offset=HEADER_LEN)
+    records = records.reshape(n_records, RECORD_BYTES)
+    records.flags.writeable = False
     return header, records

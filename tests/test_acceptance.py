@@ -234,7 +234,7 @@ def test_criterion_10_container_round_trip_and_rejection():
             header = ContainerHeader(params.rounds, params.caf_steps, size)
             blob = container.write_container(header, records)
             got_header, got_records = container.read_container(blob)
-            assert got_header == header and got_records == records
+            assert got_header == header and np.array_equal(got_records, records)
             assert container.write_container(got_header, got_records) == blob
 
         good = container.write_container(

@@ -1,6 +1,12 @@
+import errno
+import os
+import stat
+import threading
+
 import numpy as np
 import pytest
 
+from rpca import cli
 from rpca.cli import RESEARCH_WARNING, load_key, main
 from rpca.cipher import KeyFormatError
 
@@ -137,6 +143,62 @@ class TestEncryptDecrypt:
             "--out", str(tmp_path / "c"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    def test_failed_write_keeps_existing_output(self, tmp_path, capsys, monkeypatch, command):
+        src, enc, out = tmp_path / "plain.bin", tmp_path / "data.rpca", tmp_path / "old.out"
+        src.write_bytes(bytes(range(256)) * 4)
+        key = "00" * 32
+        assert run(capsys, "encrypt", "--key", key, "--in", str(src), "--out", str(enc),
+                   "--rounds", "1", "--steps", "2")[0] == 0
+        out.write_bytes(b"output of an earlier run")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        argv = [command, "--key", key, "--in", str(src if command == "encrypt" else enc),
+                "--out", str(out)]
+
+        class DiskFull:
+            """Writes half of the data, then fails like a full disk."""
+
+            def __init__(self, path, mode):
+                self.file = open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, data):
+                self.file.write(data[: len(data) // 2])
+                self.file.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", DiskFull, raising=False)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "No space left" in err
+        assert out.read_bytes() == b"output of an earlier run"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+        monkeypatch.undo()
+        assert run(capsys, *argv)[0] == 0
+        assert out.read_bytes() != b"output of an earlier run"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_output_to_a_pipe_is_written_not_replaced(self, tmp_path, capsys):
+        src, fifo = tmp_path / "plain.bin", tmp_path / "out.fifo"
+        src.write_bytes(b"through a pipe")
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, _, _ = run(capsys, "encrypt", "--key", "00" * 32, "--in", str(src),
+                         "--out", str(fifo), "--rounds", "1", "--steps", "2")
+        reader.join(timeout=10)
+        assert code == 0
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert not reader.is_alive() and len(received[0]) == 18 + 32
 
     def test_out_of_range_rounds_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "p"

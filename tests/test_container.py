@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from rpca import container
 from rpca.cipher import CipherParams, SeededRidSource, encrypt_stream, parse_key
 from rpca.container import (
+    ContainerError,
     ContainerHeader,
     ContainerLengthError,
     ContainerValidationError,
@@ -38,7 +39,7 @@ class TestRoundTrip:
         blob = write_container(header, records)
         got_header, got_records = read_container(blob)
         assert got_header == header
-        assert got_records == records
+        assert np.array_equal(got_records, records)
         assert write_container(got_header, got_records) == blob
 
     @settings(max_examples=30, deadline=None)
@@ -107,12 +108,20 @@ class TestRejection:
         with pytest.raises(ContainerLengthError):
             write_container(header, records)
 
-    def test_write_rejects_mismatched_record_params(self):
-        other = CipherParams(rounds=5, caf_steps=4)
-        records = encrypt_stream(b"hello", KEY, other, SeededRidSource(b"c"))
-        header = ContainerHeader(PARAMS.rounds, PARAMS.caf_steps, 5)
-        with pytest.raises(ContainerValidationError):
-            write_container(header, records)
+    def test_write_rejects_misshaped_record_array(self):
+        records = encrypt_stream(b"x" * 20, KEY, PARAMS, SeededRidSource(b"c"))  # two records
+        header = ContainerHeader(PARAMS.rounds, PARAMS.caf_steps, 20)
+        for bad in (records.reshape(-1), records.reshape(4, 16), records.reshape(2, 2, 16),
+                    records.astype(np.int64), [records[0].tobytes(), records[1].tobytes()]):
+            with pytest.raises(ContainerValidationError):
+                write_container(header, bad)
+
+    @pytest.mark.parametrize("offset", [16, 17])
+    def test_nonzero_reserved_field(self, offset):
+        blob = bytearray(make_container(b"hello"))
+        blob[offset] = 1
+        with pytest.raises(ContainerValidationError, match="reserved.*offset 16..17"):
+            read_container(bytes(blob))
 
     def test_header_validate_bounds(self):
         with pytest.raises(ContainerValidationError):
@@ -141,5 +150,44 @@ class TestHeaderEncoding:
         records = encrypt_stream(b"abc", KEY, PARAMS, SeededRidSource(b"c"))
         header = ContainerHeader(PARAMS.rounds, PARAMS.caf_steps, 3)
         blob = write_container(header, records)
-        assert blob[18:34] == records[0].ciphertext
-        assert blob[34:50] == records[0].encrypted_final_data
+        assert blob[18:34] == records[0, :16].tobytes()
+        assert blob[34:50] == records[0, 16:].tobytes()
+
+
+VALID = [make_container(bytes(range(size))) for size in (0, 5, 40)]
+
+
+def assert_parses_or_rejects(blob: bytes) -> None:
+    """Only ContainerError may escape; an accepted input must round-trip exactly."""
+    try:
+        header, records = read_container(blob)
+    except ContainerError:
+        return
+    assert records.shape == (header.expected_records(), 32)
+    assert write_container(header, records) == blob
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes(self, blob):
+        assert_parses_or_rejects(blob)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes_after_a_valid_prefix(self, tail):
+        assert_parses_or_rejects(b"RPC1\x01" + tail)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(VALID), st.data())
+    def test_truncations(self, blob, data):
+        cut = data.draw(st.integers(0, len(blob)))
+        assert_parses_or_rejects(blob[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(VALID), st.data())
+    def test_single_bit_flips(self, blob, data):
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 0x80 >> (bit % 8)
+        assert_parses_or_rejects(bytes(flipped))
