@@ -77,7 +77,9 @@ def criterion(number, name, limit=None):
     if limit is not None and elapsed >= limit:
         print(f"[acceptance] {number:02d} {name}: FAIL (took {elapsed:.2f}s, budget {limit}s)")
         pytest.fail(f"criterion {number} exceeded its {limit}s budget: {elapsed:.2f}s")
-    print(f"[acceptance] {number:02d} {name}: PASS ({elapsed:.2f}s)")
+    # the share of the budget used shows how much headroom is left
+    budget = "" if limit is None else f" of {limit:g}s, {elapsed / limit:.0%}"
+    print(f"[acceptance] {number:02d} {name}: PASS ({elapsed:.2f}s{budget})")
 
 
 def test_criterion_01_reversible_rule_census():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,6 +283,27 @@ class TestCafCore:
     def test_step_bound(self):
         with pytest.raises(ValueError):
             caf_core_encrypt(bytes(16), bytes(16), ZERO_KEY, 1)
+
+    def test_zero_decrypt_steps_rejected(self):
+        # a bare loop over zero steps would hand back its input unchanged
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            caf_core_decrypt(bytes(16), bytes(16), ZERO_KEY, 0)
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_peak_memory_is_a_small_multiple_of_the_input(self, direction):
+        rng = np.random.default_rng(16)
+        key = rand_key(rng)
+        a = rng.integers(0, 256, (4096, 16), dtype=np.uint8)
+        b = rng.integers(0, 256, (4096, 16), dtype=np.uint8)
+        run = cipher._caf_forward if direction == "forward" else cipher._caf_backward
+        run(a[:1], b[:1], key, 32)  # builds and caches the key's table outside the trace
+        tracemalloc.start()
+        try:
+            run(a, b, key, 32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * a.nbytes, f"peak {peak / a.nbytes:.1f}x the input"
 
 
 class TestMaskFinalData:

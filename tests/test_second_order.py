@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,14 @@ from rpca import ca
 from rpca.ca import Boundary
 from rpca.second_order import (
     SecondOrderState,
+    packed_rule_table,
     so_iterate_backward,
     so_iterate_forward,
+    so_iterate_packed,
     so_step,
 )
 
-from helpers import naive_so_run, naive_so_step
+from helpers import bits_of_bytes, bytes_of_bits, naive_so_run, naive_so_step
 
 
 def state(prev, curr):
@@ -157,3 +161,73 @@ class TestBatching:
             )
             assert np.array_equal(batch.prev[k], single.prev)
             assert np.array_equal(batch.curr[k], single.curr)
+
+
+def random_rule(radius, rnd):
+    return ca.make_rule(radius, rnd.randrange(1 << (1 << (2 * radius + 1))))
+
+
+class TestIteratePacked:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([1, 2, 3, 8, 16, 32]),
+        st.sampled_from([(), (1,), (3,), (2, 3)]),
+        st.integers(1, 64),
+        st.sampled_from(["C", "F", "strided"]),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_per_cell_iteration(self, radius, n_bytes, batch, steps, layout, rnd):
+        rule = random_rule(radius, rnd)
+        rng = np.random.default_rng(rnd.randrange(2**32))
+        prev, curr = rng.integers(0, 256, (2,) + batch + (2 * n_bytes,), dtype=np.uint8)
+        if layout == "strided":
+            prev, curr = prev[..., ::2], curr[..., ::2]
+        else:
+            prev = np.array(prev[..., :n_bytes], order=layout)
+            curr = np.array(curr[..., :n_bytes], order=layout)
+        p, c = so_iterate_packed(prev, curr, packed_rule_table(rule), steps)
+        cells = SecondOrderState(np.unpackbits(prev, axis=-1), np.unpackbits(curr, axis=-1))
+        ref = so_iterate_forward(cells, rule, Boundary.CYCLIC, steps)
+        assert np.array_equal(p, np.packbits(ref.prev, axis=-1))
+        assert np.array_equal(c, np.packbits(ref.curr, axis=-1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([1, 2, 3, 16]),
+        st.integers(1, 64),
+        st.randoms(use_true_random=False),
+    )
+    def test_swapped_pair_undoes_the_forward_run(self, radius, n_bytes, steps, rnd):
+        table = packed_rule_table(random_rule(radius, rnd))
+        rng = np.random.default_rng(rnd.randrange(2**32))
+        prev = rng.integers(0, 256, (4, n_bytes), dtype=np.uint8)
+        curr = rng.integers(0, 256, (4, n_bytes), dtype=np.uint8)
+        p, c = so_iterate_packed(prev, curr, table, steps)
+        back_prev, back_curr = so_iterate_packed(c, p, table, steps)
+        assert np.array_equal(back_prev, curr)
+        assert np.array_equal(back_curr, prev)
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_every_table_entry_matches_the_oracle(self, radius):
+        # with prev all 0 the new byte is the table entry itself; the middle
+        # 8 cells of a window have their whole neighborhood inside it
+        rule = random_rule(radius, random.Random(radius))
+        table = packed_rule_table(rule)
+        width = 8 + 2 * radius
+        assert table.shape == (1 << width,) and not table.flags.writeable
+        for window in range(1 << width):
+            cells = bits_of_bytes(window.to_bytes(3, "big"))[24 - width :]
+            _, new = naive_so_step([0] * width, cells, rule.number, radius, "null")
+            assert table[window] == bytes_of_bits(new[radius : radius + 8])[0], window
+
+    def test_zero_steps_rejected(self):
+        table = packed_rule_table(RULE_204)
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            so_iterate_packed(np.zeros(2, np.uint8), np.zeros(2, np.uint8), table, 0)
+
+    def test_shape_mismatch_rejected(self):
+        table = packed_rule_table(RULE_204)
+        with pytest.raises(ValueError, match="shapes differ"):
+            so_iterate_packed(np.zeros(2, np.uint8), np.zeros(3, np.uint8), table, 1)
