@@ -67,12 +67,14 @@ def make_rule(radius: int, rule_number: int) -> Rule:
 
 def rule_from_table(radius: int, table: np.ndarray) -> Rule:
     """Build a Rule from an explicit entry array (entry p = bit p of the number)."""
-    table = np.ascontiguousarray(table, dtype=np.uint8)
+    table = np.asarray(table)
     entries = 1 << (2 * radius + 1)
     if table.shape != (entries,):
         raise ValueError(f"table must have {entries} entries, got shape {table.shape}")
-    number = sum(int(b) << p for p, b in enumerate(table))
-    table = table.copy()
+    if not np.all((table == 0) | (table == 1)):
+        raise ValueError("table entries must be 0 or 1")
+    table = table.astype(np.uint8)
+    number = int.from_bytes(np.packbits(table, bitorder="little").tobytes(), "little")
     table.setflags(write=False)
     return Rule(radius=radius, number=number, table=table)
 

@@ -16,9 +16,13 @@ automaton backwards from the transmitted pair, discards the recovered random
 row, and undoes the rounds. Each block therefore costs twice its size on the
 wire, and encryption is randomized through the injected rid values.
 
-The core never unpacks bits: it steps the (n, 16) byte rows directly, one
-gather per step from the key's window table (second_order.packed_rule_table,
-16 KiB at radius 3), and a small per-key cache keeps the last tables built.
+Nothing here unpacks bits. The core steps the (n, 16) byte rows directly,
+one gather per step from the key's window table
+(second_order.packed_rule_table, 16 KiB at radius 3), and a small per-key
+cache keeps the last tables built. Key setup runs the material automata on
+the same kernel over (64, 8) packed rows, one per round, and keeps a key's
+material for every round as one read-only (64, 4, 16) array; RoundMaterial
+is the single-round view returned by derive_round_material.
 
 All operations here are pure given an explicit rid; batch variants process
 a whole stream of blocks as one numpy matrix. A stream's records are one
@@ -39,13 +43,8 @@ from typing import Callable
 import numpy as np
 
 from . import ca
-from .ca import Boundary, Rule
-from .second_order import (
-    SecondOrderState,
-    packed_rule_table,
-    so_iterate_forward,
-    so_iterate_packed,
-)
+from .ca import Rule
+from .second_order import packed_rule_table, so_iterate_packed
 
 BLOCK_BYTES = 16
 BLOCK_BITS = 128
@@ -129,7 +128,7 @@ class CipherParams:
 
 @dataclass(frozen=True)
 class RoundMaterial:
-    """Four 128-bit values, each a CAL configuration joined to a CAR one."""
+    """One round's view of _round_materials: four 128-bit CAL+CAR values."""
 
     m_sub: bytes
     m_row: bytes
@@ -165,10 +164,6 @@ def bits_from_bytes(data: bytes) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
 
 
-def bytes_from_bits(bits: np.ndarray) -> bytes:
-    return np.packbits(bits).tobytes()
-
-
 # --- rule expansion and round material --------------------------------------
 
 def expand_rule_segment(segment: bytes) -> Rule:
@@ -179,7 +174,6 @@ def expand_rule_segment(segment: bytes) -> Rule:
     return ca.rule_from_table(CA_RADIUS, np.concatenate([bits, bits]))
 
 
-@lru_cache(maxsize=256)
 def _caf_rule(caf_segment: bytes) -> Rule:
     # the CAF segment is already 128 bits: one table entry per bit
     return ca.rule_from_table(CA_RADIUS, bits_from_bytes(caf_segment))
@@ -192,44 +186,49 @@ def round_constant(round_index: int) -> bytes:
     return bytes([(round_index + 1) % 256]) * 8
 
 
-def _segment_history(segment: bytes, rounds: int) -> np.ndarray:
-    """Last four configurations of the segment's automaton, per round.
+def _segment_history(segment: bytes) -> np.ndarray:
+    """Last four configurations of the segment's automaton, for every round.
 
-    Returns shape (rounds, 4, 64); axis 1 is ordered newest first. Each round
-    runs the same 64-cell second-order automaton from (round constant,
-    segment bits) for four steps, so material depends on the key and round
-    index only, never on the data being encrypted.
+    Returns (MAX_ROUNDS, 4, 8) packed rows; axis 1 is ordered newest first.
+    Round i runs the same 64-cell second-order automaton from (round
+    constant, segment) for four steps, so material depends on the key and
+    round index only, never on the data being encrypted or the round count.
     """
-    rule = expand_rule_segment(segment)
-    seg_bits = bits_from_bytes(segment)
-    prev = np.stack([bits_from_bytes(round_constant(i)) for i in range(rounds)])
-    curr = np.repeat(seg_bits[None, :], rounds, axis=0)
-    state = SecondOrderState(prev, curr)
-    history = np.empty((rounds, MATERIAL_HISTORY, 64), dtype=np.uint8)
+    table = packed_rule_table(expand_rule_segment(segment))
+    constants = b"".join(round_constant(i) for i in range(MAX_ROUNDS))
+    prev = np.frombuffer(constants, dtype=np.uint8).reshape(MAX_ROUNDS, 8)
+    curr = np.broadcast_to(np.frombuffer(segment, dtype=np.uint8), prev.shape)
+    history = np.empty((MAX_ROUNDS, MATERIAL_HISTORY, 8), dtype=np.uint8)
     for t in range(MATERIAL_HISTORY):
-        state = so_iterate_forward(state, rule, Boundary.CYCLIC, 1)
-        history[:, MATERIAL_HISTORY - 1 - t, :] = state.curr
+        prev, curr = so_iterate_packed(prev, curr, table, 1)
+        history[:, MATERIAL_HISTORY - 1 - t] = curr
     return history
 
 
 @lru_cache(maxsize=256)
-def _round_materials(raw_key: bytes, rounds: int) -> tuple[RoundMaterial, ...]:
+def _round_materials(raw_key: bytes) -> np.ndarray:
+    """Every round's material: a read-only (MAX_ROUNDS, 4, 16) uint8 array.
+
+    Axis 1 holds m_sub, m_row, m_mix and m_key; each 16-byte row is a CAL
+    configuration joined to a CAR one.
+    """
     key = SecretKey(raw_key)
-    left = _segment_history(key.cal_segment, rounds)
-    right = _segment_history(key.car_segment, rounds)
-    joined = np.concatenate([left, right], axis=2)  # (rounds, 4, 128)
-    materials = []
-    for i in range(rounds):
-        m = [bytes_from_bits(joined[i, k]) for k in range(MATERIAL_HISTORY)]
-        materials.append(RoundMaterial(m_sub=m[0], m_row=m[1], m_mix=m[2], m_key=m[3]))
-    return tuple(materials)
+    materials = np.concatenate(
+        [_segment_history(key.cal_segment), _segment_history(key.car_segment)], axis=2
+    )
+    materials.flags.writeable = False
+    return materials
+
+
+def _round_material(key: SecretKey, round_index: int) -> np.ndarray:
+    if not 0 <= round_index < MAX_ROUNDS:
+        raise ValueError(f"round_index must be in 0..{MAX_ROUNDS - 1}, got {round_index}")
+    return _round_materials(key.raw)[round_index]
 
 
 def derive_round_material(key: SecretKey, round_index: int) -> RoundMaterial:
     """Material for one round; a pure function of (key, round_index)."""
-    if round_index < 0:
-        raise ValueError("round_index must be >= 0")
-    return _round_materials(key.raw, round_index + 1)[round_index]
+    return RoundMaterial(*(m.tobytes() for m in _round_material(key, round_index)))
 
 
 # --- the four round transforms ----------------------------------------------
@@ -334,23 +333,16 @@ def add_round_key(state: bytes, material: bytes) -> bytes:
     return (arr ^ m).tobytes()
 
 
-def _material_rows(material: RoundMaterial) -> tuple[np.ndarray, ...]:
-    return tuple(
-        np.frombuffer(m, dtype=np.uint8)
-        for m in (material.m_sub, material.m_row, material.m_mix, material.m_key)
-    )
-
-
-def _round_forward_arr(states: np.ndarray, material: RoundMaterial) -> np.ndarray:
-    m_sub, m_row, m_mix, m_key = _material_rows(material)
+def _round_forward_arr(states: np.ndarray, material: np.ndarray) -> np.ndarray:
+    m_sub, m_row, m_mix, m_key = material
     states = _byte_sub(states, m_sub, inverse=False)
     states = _row_shift(states, m_row, inverse=False)
     states = _column_mix(states, m_mix, inverse=False)
     return states ^ m_key
 
 
-def _round_inverse_arr(states: np.ndarray, material: RoundMaterial) -> np.ndarray:
-    m_sub, m_row, m_mix, m_key = _material_rows(material)
+def _round_inverse_arr(states: np.ndarray, material: np.ndarray) -> np.ndarray:
+    m_sub, m_row, m_mix, m_key = material
     states = states ^ m_key
     states = _column_mix(states, m_mix, inverse=True)
     states = _row_shift(states, m_row, inverse=True)
@@ -359,23 +351,22 @@ def _round_inverse_arr(states: np.ndarray, material: RoundMaterial) -> np.ndarra
 
 def round_forward(state: bytes, key: SecretKey, round_index: int) -> bytes:
     """One full round: substitution, row shift, column mix, key addition."""
-    material = derive_round_material(key, round_index)
     arr = np.frombuffer(_check_block(state, "state"), dtype=np.uint8)
-    return _round_forward_arr(arr, material).tobytes()
+    return _round_forward_arr(arr, _round_material(key, round_index)).tobytes()
 
 
 def round_inverse(state: bytes, key: SecretKey, round_index: int) -> bytes:
     """Inverse of round_forward: the four inverse transforms in reverse order."""
-    material = derive_round_material(key, round_index)
     arr = np.frombuffer(_check_block(state, "state"), dtype=np.uint8)
-    return _round_inverse_arr(arr, material).tobytes()
+    return _round_inverse_arr(arr, _round_material(key, round_index)).tobytes()
 
 
 # --- the 128-cell core -------------------------------------------------------
 
-# Kept small on purpose: a table is 16 KiB, so 256 entries like the caches
-# above hold up to 4 MiB. On the small_msgs benchmark (a quarter of messages
-# under fresh keys) that raised peak RSS by 12%; 16 entries cost about 3%.
+# Kept small on purpose: a table is 16 KiB, so 256 entries like the material
+# cache above would hold up to 4 MiB. On the small_msgs benchmark (a quarter
+# of messages under fresh keys) that raised peak RSS by 12%; 16 entries cost
+# about 3%.
 @lru_cache(maxsize=16)
 def _caf_table(caf_segment: bytes) -> np.ndarray:
     return packed_rule_table(_caf_rule(caf_segment))
@@ -485,7 +476,7 @@ def _encrypt_padded(
     if len(rids) != len(padded):
         raise ValueError("need one 16-byte rid per block")
     states = np.frombuffer(padded, dtype=np.uint8).reshape(n_blocks, BLOCK_BYTES)
-    for material in _round_materials(key.raw, params.rounds):
+    for material in _round_materials(key.raw)[: params.rounds]:
         states = _round_forward_arr(states, material)
     rid_rows = np.frombuffer(rids, dtype=np.uint8).reshape(n_blocks, BLOCK_BYTES)
     cipher_bytes, final_bytes = _caf_forward(states, rid_rows, key, params.caf_steps)
@@ -505,7 +496,7 @@ def _decrypt_records_raw(records: np.ndarray, key: SecretKey, params: CipherPara
         )
     final_bytes = records[:, BLOCK_BYTES:] ^ np.frombuffer(key.caf_segment, dtype=np.uint8)
     states = _caf_backward(records[:, :BLOCK_BYTES], final_bytes, key, params.caf_steps)
-    for material in reversed(_round_materials(key.raw, params.rounds)):
+    for material in reversed(_round_materials(key.raw)[: params.rounds]):
         states = _round_inverse_arr(states, material)
     return states.tobytes()
 

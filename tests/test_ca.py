@@ -60,6 +60,22 @@ class TestMakeRule:
             rule.table[0] = 1
 
 
+class TestRuleFromTable:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_inverts_make_rule(self, data):
+        radius = data.draw(st.integers(1, 3))
+        number = data.draw(st.integers(0, (1 << (1 << (2 * radius + 1))) - 1))
+        rule = ca.make_rule(radius, number)
+        got = ca.rule_from_table(radius, rule.table)
+        assert got == rule
+        assert np.array_equal(got.table, rule.table)
+
+    def test_rejects_non_binary_entry(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            ca.rule_from_table(1, [2, 0, 0, 0, 0, 0, 0, 0])
+
+
 class TestApplyRule:
     def test_examples(self):
         assert ca.apply_rule(ca.make_rule(1, 51), "101") == 1

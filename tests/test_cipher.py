@@ -134,14 +134,35 @@ class TestRoundMaterial:
         b = derive_round_material(ZERO_KEY, 1)
         assert a != b
 
+    def test_last_round_matches_straight_line_oracle(self):
+        rng = np.random.default_rng(4)
+        for _ in range(2):
+            key = rand_key(rng)
+            got = derive_round_material(key, cipher.MAX_ROUNDS - 1)
+            expected = naive_round_materials(key.raw, cipher.MAX_ROUNDS - 1)
+            assert [got.m_sub, got.m_row, got.m_mix, got.m_key] == expected
+
     def test_material_independent_of_total_rounds(self):
         rng = np.random.default_rng(3)
         key = rand_key(rng)
-        assert cipher._round_materials(key.raw, 10)[2] == derive_round_material(key, 2)
+        m = derive_round_material(key, 2)
+        rows = [row.tobytes() for row in cipher._round_materials(key.raw)[2]]
+        assert rows == [m.m_sub, m.m_row, m.m_mix, m.m_key]
+
+    def test_material_array_is_read_only(self):
+        materials = cipher._round_materials(ZERO_KEY.raw)
+        assert materials.shape == (cipher.MAX_ROUNDS, 4, 16)
+        with pytest.raises(ValueError):
+            materials[0, 0, 0] = 1
 
     def test_negative_round_rejected(self):
-        with pytest.raises(ValueError):
-            derive_round_material(ZERO_KEY, -1)
+        for index in (-1, cipher.MAX_ROUNDS):
+            with pytest.raises(ValueError, match=r"0\.\.63"):
+                derive_round_material(ZERO_KEY, index)
+            with pytest.raises(ValueError, match=r"0\.\.63"):
+                round_forward(bytes(16), ZERO_KEY, index)
+            with pytest.raises(ValueError, match=r"0\.\.63"):
+                round_inverse(bytes(16), ZERO_KEY, index)
 
 
 class TestByteSubstitution:
@@ -255,7 +276,7 @@ class TestCafCore:
             cipher.bits_from_bytes(c), cipher.bits_from_bytes(final)
         )
         back = so_iterate_backward(pair, cipher._caf_rule(key.caf_segment), Boundary.CYCLIC, 8)
-        assert cipher.bytes_from_bits(back.prev) == rid
+        assert np.packbits(back.prev).tobytes() == rid
 
     def test_zero_rule_trajectory_matches_oracle(self):
         # all-zero CAF segment gives the all-zero rule: each step inverts prev
