@@ -100,3 +100,93 @@ def naive_round_materials(key_raw, round_index):
         histories.append(hist[::-1])  # newest first
     left, right = histories
     return [bytes_of_bits(left[k] + right[k]) for k in range(4)]
+
+
+# --- the four round transforms, byte by byte ---------------------------------
+#
+# A block is 16 bytes read as a 4x4 grid, byte 4*r + c in row r, column c.
+# Each material value is 16 bytes; the forward round applies substitution,
+# row shift, column mix and key addition in that order, and the inverse
+# round undoes them last first.
+
+
+def _two_bit_fields(byte):
+    """Four 2-bit amounts packed into one byte, most significant pair first."""
+    return [(byte >> shift) & 3 for shift in (6, 4, 2, 0)]
+
+
+def naive_byte_sub(block, material, inverse=False):
+    """Rotate byte j left by the low 3 bits of material byte j+1 (mod 16), then XOR material byte j."""
+    out = []
+    for j in range(16):
+        amount = material[(j + 1) % 16] & 7
+        if inverse:
+            t = block[j] ^ material[j]
+            out.append(((t >> amount) | (t << (8 - amount))) & 0xFF)
+        else:
+            t = ((block[j] << amount) | (block[j] >> (8 - amount))) & 0xFF
+            out.append(t ^ material[j])
+    return bytes(out)
+
+
+def naive_row_shift(block, material, inverse=False):
+    """Rotate row r left by the r-th 2-bit field of material byte 0: (a,b,c,d) -> (b,c,d,a) for 1."""
+    amounts = _two_bit_fields(material[0])
+    out = bytearray(16)
+    for r in range(4):
+        for c in range(4):
+            moved = 4 * r + (c + amounts[r]) % 4
+            if inverse:
+                out[moved] = block[4 * r + c]
+            else:
+                out[4 * r + c] = block[moved]
+    return bytes(out)
+
+
+def naive_column_mix(block, material, inverse=False):
+    """XOR network down each column, then rotate column c down by the c-th 2-bit field of material byte 1.
+
+    With a column read top to bottom as (a, b, c, d), the network is
+    a ^= b, c ^= d, b ^= a, d ^= c; rotating down by 1 gives (d, a, b, c).
+    """
+    amounts = _two_bit_fields(material[1])
+    out = bytearray(16)
+    for col in range(4):
+        cells = [block[4 * k + col] for k in range(4)]
+        shift = amounts[col]
+        if inverse:
+            a, b, c, d = [cells[(k + shift) % 4] for k in range(4)]
+            d ^= c
+            b ^= a
+            c ^= d
+            a ^= b
+            cells = [a, b, c, d]
+        else:
+            a, b, c, d = cells
+            a ^= b
+            c ^= d
+            b ^= a
+            d ^= c
+            cells = [[a, b, c, d][(k - shift) % 4] for k in range(4)]
+        for k in range(4):
+            out[4 * k + col] = cells[k]
+    return bytes(out)
+
+
+def naive_add_round_key(block, material):
+    """Byte-wise XOR with the material; its own inverse."""
+    return bytes(x ^ m for x, m in zip(block, material))
+
+
+def naive_round(block, materials, inverse=False):
+    """One round with materials (m_sub, m_row, m_mix, m_key), or its inverse."""
+    m_sub, m_row, m_mix, m_key = materials
+    if inverse:
+        block = naive_add_round_key(block, m_key)
+        block = naive_column_mix(block, m_mix, inverse=True)
+        block = naive_row_shift(block, m_row, inverse=True)
+        return naive_byte_sub(block, m_sub, inverse=True)
+    block = naive_byte_sub(block, m_sub)
+    block = naive_row_shift(block, m_row)
+    block = naive_column_mix(block, m_mix)
+    return naive_add_round_key(block, m_key)

@@ -36,7 +36,15 @@ from rpca.cipher import (
 )
 from rpca.second_order import SecondOrderState, so_iterate_backward, so_iterate_forward
 
-from helpers import naive_round_materials, naive_so_run
+from helpers import (
+    naive_add_round_key,
+    naive_byte_sub,
+    naive_column_mix,
+    naive_round,
+    naive_round_materials,
+    naive_row_shift,
+    naive_so_run,
+)
 
 ZERO_KEY = parse_key(bytes(32))
 FAST = CipherParams(rounds=1, caf_steps=2)
@@ -258,6 +266,45 @@ class TestRound:
         key, s = rand_key(rng), rand_block(rng)
         outputs = {round_forward(s, key, i) for i in range(8)}
         assert len(outputs) == 8
+
+
+BLOCKS = st.binary(min_size=16, max_size=16)
+
+
+class TestStageOracles:
+    """Each public stage and round equals its straight-line oracle in helpers."""
+
+    @pytest.mark.parametrize(
+        "stage, oracle",
+        [(byte_substitution, naive_byte_sub), (row_shift, naive_row_shift),
+         (column_mix, naive_column_mix)],
+    )
+    @given(state=BLOCKS, material=BLOCKS, inverse=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_stage_matches_oracle(self, stage, oracle, state, material, inverse):
+        direction = "inverse" if inverse else "forward"
+        assert stage(state, material, direction) == oracle(state, material, inverse)
+
+    @given(state=BLOCKS, material=BLOCKS)
+    @settings(max_examples=50, deadline=None)
+    def test_add_round_key_matches_oracle(self, state, material):
+        assert add_round_key(state, material) == naive_add_round_key(state, material)
+
+    @given(raw=st.binary(min_size=32, max_size=32), state=BLOCKS,
+           index=st.integers(0, cipher.MAX_ROUNDS - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_round_matches_oracle(self, raw, state, index):
+        key = parse_key(raw)
+        materials = naive_round_materials(raw, index)
+        assert round_forward(state, key, index) == naive_round(state, materials)
+        assert round_inverse(state, key, index) == naive_round(state, materials, inverse=True)
+
+    def test_oracle_round_trips(self):
+        rng = np.random.default_rng(25)
+        for _ in range(50):
+            state = rand_block(rng)
+            materials = [rand_block(rng) for _ in range(4)]
+            assert naive_round(naive_round(state, materials), materials, inverse=True) == state
 
 
 class TestCafCore:
