@@ -49,10 +49,14 @@ class Rule:
         return f"Rule(radius={self.radius}, number={self.number})"
 
 
-def make_rule(radius: int, rule_number: int) -> Rule:
-    """Build the lookup table for a Wolfram rule number at the given radius."""
+def _check_radius(radius: int) -> None:
     if not 1 <= radius <= MAX_RADIUS:
         raise ValueError(f"radius must be in 1..{MAX_RADIUS}, got {radius}")
+
+
+def make_rule(radius: int, rule_number: int) -> Rule:
+    """Build the lookup table for a Wolfram rule number at the given radius."""
+    _check_radius(radius)
     entries = 1 << (2 * radius + 1)
     limit = 1 << entries
     if not 0 <= rule_number < limit:
@@ -67,6 +71,7 @@ def make_rule(radius: int, rule_number: int) -> Rule:
 
 def rule_from_table(radius: int, table: np.ndarray) -> Rule:
     """Build a Rule from an explicit entry array (entry p = bit p of the number)."""
+    _check_radius(radius)
     table = np.asarray(table)
     entries = 1 << (2 * radius + 1)
     if table.shape != (entries,):

@@ -22,7 +22,10 @@ one gather per step from the key's window table
 cache keeps the last tables built. Key setup runs the material automata on
 the same kernel over (64, 8) packed rows, one per round, and keeps a key's
 material for every round as one read-only (64, 4, 16) array; RoundMaterial
-is the single-round view returned by derive_round_material.
+is the single-round view returned by derive_round_material. The rounds run
+byte-position-major: a stream's blocks are transposed once into (16, n)
+rows, row j holding byte j of every block, so each round transform is a few
+whole-row operations, and the core takes the transposed view back.
 
 All operations here are pure given an explicit rid; batch variants process
 a whole stream of blocks as one numpy matrix. A stream's records are one
@@ -233,8 +236,12 @@ def derive_round_material(key: SecretKey, round_index: int) -> RoundMaterial:
 
 # --- the four round transforms ----------------------------------------------
 #
-# Internal versions operate on uint8 arrays shaped (..., 16) with material
-# either a single 16-byte row or one row per batch entry.
+# Internal versions take (16, n) byte-position rows; the single-block API
+# runs them on a (16, 1) column.
+
+_ROWS, _COLS = np.divmod(np.arange(BLOCK_BYTES), 4)  # grid position of each byte
+_XOR_NETWORK = ((0, 1), (2, 3), (1, 0), (3, 2))  # grid row a ^= grid row b, in order
+
 
 def _parse_direction(direction: str) -> bool:
     if direction == "forward":
@@ -244,121 +251,109 @@ def _parse_direction(direction: str) -> bool:
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
-def _byte_sub(states: np.ndarray, material: np.ndarray, inverse: bool) -> np.ndarray:
-    # rotation amount for byte j comes from the next material byte
-    shifted = np.concatenate([material[..., 1:], material[..., :1]], axis=-1)
-    rot = (shifted & 7).astype(np.uint16)
-    if not inverse:
-        s = states.astype(np.uint16)
-        rolled = ((s << rot) | (s >> (8 - rot))) & 0xFF
-        return (rolled ^ material).astype(np.uint8)
-    t = (states ^ material).astype(np.uint16)
-    return (((t >> rot) | (t << (8 - rot))) & 0xFF).astype(np.uint8)
+def _byte_sub(y: np.ndarray, material: np.ndarray, inverse: bool) -> np.ndarray:
+    """Rotate row j left by the low 3 bits of material byte j+1, then XOR material byte j.
+
+    `y` holds one row per byte position on axis 0, as many as `material` has
+    bytes; the byte after the last is the first.
+    """
+    column = material.shape + (1,) * (y.ndim - 1)
+    left = np.roll(material, -1) & 7
+    m = material.reshape(column)
+    if inverse:
+        return _rotate_right(y ^ m, left.reshape(column))
+    return _rotate_right(y, ((8 - left) & 7).reshape(column)) ^ m
 
 
-def _shift_amounts(material_byte: np.ndarray) -> np.ndarray:
-    """Four 2-bit amounts packed MSB-first into one material byte."""
-    shifts = np.arange(6, -1, -2)
-    return (material_byte[..., None] >> shifts) & 3
+def _rotate_right(y: np.ndarray, amounts: np.ndarray) -> np.ndarray:
+    # y >> s | y << (8 - s) for s in 0..7, written as uint8 division and
+    # multiplication by powers of two: numpy vectorises those but not uint8
+    # shifts, which took three times as long on (16, 62501) rows. For s = 0
+    # the multiplier 1 << 8 wraps to 0 in uint8, as y << 8 should.
+    return (y // (1 << amounts)) | (y * (1 << (8 - amounts)))
 
 
-def _row_shift(states: np.ndarray, material: np.ndarray, inverse: bool) -> np.ndarray:
-    amounts = _shift_amounts(material[..., 0].astype(np.int64))  # (..., 4)
-    row = np.arange(16) // 4
-    col = np.arange(16) % 4
-    sign = -1 if inverse else 1
-    src = row * 4 + (col + sign * amounts[..., row]) % 4
-    if src.ndim == 1:
-        return states[..., src]
-    return np.take_along_axis(states, np.broadcast_to(src, states.shape), axis=-1)
+def _shift_amounts(material_bytes: np.ndarray) -> np.ndarray:
+    """Four 2-bit amounts packed MSB-first into each material byte: (R,) -> (R, 4)."""
+    return (material_bytes[:, None] >> np.arange(6, -1, -2)) & 3
 
 
-_COLS = np.arange(4)
+def _row_sources(material_bytes: np.ndarray, inverse: bool) -> np.ndarray:
+    """Row shift as (R, 16) source rows: grid row r rotates left by amount r."""
+    amounts = _shift_amounts(material_bytes)[:, _ROWS]
+    return 4 * _ROWS + (_COLS + (-amounts if inverse else amounts)) % 4
 
 
-def _rotate_columns(grid: np.ndarray, src: np.ndarray) -> np.ndarray:
-    # src holds, per (row, column), the row to read from
-    if src.ndim == 2:
-        return grid[..., src, _COLS]
-    return np.take_along_axis(grid, np.broadcast_to(src, grid.shape), axis=-2)
+def _column_sources(material_bytes: np.ndarray, inverse: bool) -> np.ndarray:
+    """Column rotation as (R, 16) source rows: grid column c rotates down by amount c."""
+    amounts = _shift_amounts(material_bytes)[:, _COLS]
+    return 4 * ((_ROWS + (amounts if inverse else -amounts)) % 4) + _COLS
 
 
-def _column_mix(states: np.ndarray, material: np.ndarray, inverse: bool) -> np.ndarray:
-    grid = states.reshape(states.shape[:-1] + (4, 4)).copy()
-    amounts = _shift_amounts(material[..., 1].astype(np.int64))  # (..., 4) per column
-    k = np.arange(4)[:, None]
-    if not inverse:
-        grid[..., 0, :] ^= grid[..., 1, :]
-        grid[..., 2, :] ^= grid[..., 3, :]
-        grid[..., 1, :] ^= grid[..., 0, :]
-        grid[..., 3, :] ^= grid[..., 2, :]
-        grid = _rotate_columns(grid, (k - amounts[..., None, :]) % 4)  # downward
-    else:
-        grid = _rotate_columns(grid, (k + amounts[..., None, :]) % 4)
-        grid[..., 3, :] ^= grid[..., 2, :]
-        grid[..., 1, :] ^= grid[..., 0, :]
-        grid[..., 2, :] ^= grid[..., 3, :]
-        grid[..., 0, :] ^= grid[..., 1, :]
-    return grid.reshape(states.shape)
+def _column_mix(y: np.ndarray, sources: np.ndarray, inverse: bool) -> np.ndarray:
+    """XOR network down each column of (16, n) rows, then the rotation `sources`."""
+    out = y[sources] if inverse else y.copy()
+    grid = out.reshape(4, 4, -1)
+    for a, b in _XOR_NETWORK[::-1] if inverse else _XOR_NETWORK:
+        grid[a] ^= grid[b]
+    return out if inverse else out[sources]
+
+
+def _rounds(y: np.ndarray, materials: np.ndarray, inverse: bool) -> np.ndarray:
+    """Run the rounds of `materials` (R, 4, 16) over (16, n) rows; inverse undoes them."""
+    if inverse:
+        materials = materials[::-1]
+    row_sources = _row_sources(materials[:, 1, 0], inverse)
+    column_sources = _column_sources(materials[:, 2, 1], inverse)
+    for (m_sub, _, _, m_key), rows, columns in zip(materials, row_sources, column_sources):
+        if inverse:
+            y = _column_mix(y ^ m_key[:, None], columns, True)
+            y = _byte_sub(y[rows], m_sub, True)
+        else:
+            y = _column_mix(_byte_sub(y, m_sub, False)[rows], columns, False)
+            y ^= m_key[:, None]
+    return y
+
+
+def _block(value: bytes, what: str) -> np.ndarray:
+    return np.frombuffer(_check_block(value, what), dtype=np.uint8)
 
 
 def byte_substitution(state: bytes, material: bytes, direction: str = "forward") -> bytes:
     """Per-byte rotation by a material-chosen amount, then XOR with material."""
     inverse = _parse_direction(direction)
-    arr = np.frombuffer(_check_block(state, "state"), dtype=np.uint8)
-    m = np.frombuffer(_check_block(material, "material"), dtype=np.uint8)
-    return _byte_sub(arr, m, inverse).tobytes()
+    m = _block(material, "material")
+    return _byte_sub(_block(state, "state")[:, None], m, inverse).tobytes()
 
 
 def row_shift(state: bytes, material: bytes, direction: str = "forward") -> bytes:
     """Rotate each 4-byte row by a 2-bit amount taken from the material."""
-    inverse = _parse_direction(direction)
-    arr = np.frombuffer(_check_block(state, "state"), dtype=np.uint8)
-    m = np.frombuffer(_check_block(material, "material"), dtype=np.uint8)
-    return _row_shift(arr, m, inverse).tobytes()
+    sources = _row_sources(_block(material, "material")[:1], _parse_direction(direction))[0]
+    return _block(state, "state")[sources].tobytes()
 
 
 def column_mix(state: bytes, material: bytes, direction: str = "forward") -> bytes:
     """XOR network down each column followed by a material-chosen rotation."""
     inverse = _parse_direction(direction)
-    arr = np.frombuffer(_check_block(state, "state"), dtype=np.uint8)
-    m = np.frombuffer(_check_block(material, "material"), dtype=np.uint8)
-    return _column_mix(arr, m, inverse).tobytes()
+    sources = _column_sources(_block(material, "material")[1:2], inverse)[0]
+    return _column_mix(_block(state, "state")[:, None], sources, inverse).tobytes()
 
 
 def add_round_key(state: bytes, material: bytes) -> bytes:
     """Bitwise XOR whitening; its own inverse."""
-    arr = np.frombuffer(_check_block(state, "state"), dtype=np.uint8)
-    m = np.frombuffer(_check_block(material, "material"), dtype=np.uint8)
-    return (arr ^ m).tobytes()
-
-
-def _round_forward_arr(states: np.ndarray, material: np.ndarray) -> np.ndarray:
-    m_sub, m_row, m_mix, m_key = material
-    states = _byte_sub(states, m_sub, inverse=False)
-    states = _row_shift(states, m_row, inverse=False)
-    states = _column_mix(states, m_mix, inverse=False)
-    return states ^ m_key
-
-
-def _round_inverse_arr(states: np.ndarray, material: np.ndarray) -> np.ndarray:
-    m_sub, m_row, m_mix, m_key = material
-    states = states ^ m_key
-    states = _column_mix(states, m_mix, inverse=True)
-    states = _row_shift(states, m_row, inverse=True)
-    return _byte_sub(states, m_sub, inverse=True)
+    return (_block(state, "state") ^ _block(material, "material")).tobytes()
 
 
 def round_forward(state: bytes, key: SecretKey, round_index: int) -> bytes:
     """One full round: substitution, row shift, column mix, key addition."""
-    arr = np.frombuffer(_check_block(state, "state"), dtype=np.uint8)
-    return _round_forward_arr(arr, _round_material(key, round_index)).tobytes()
+    material = _round_material(key, round_index)[None]
+    return _rounds(_block(state, "state")[:, None], material, False).tobytes()
 
 
 def round_inverse(state: bytes, key: SecretKey, round_index: int) -> bytes:
     """Inverse of round_forward: the four inverse transforms in reverse order."""
-    arr = np.frombuffer(_check_block(state, "state"), dtype=np.uint8)
-    return _round_inverse_arr(arr, _round_material(key, round_index)).tobytes()
+    material = _round_material(key, round_index)[None]
+    return _rounds(_block(state, "state")[:, None], material, True).tobytes()
 
 
 # --- the 128-cell core -------------------------------------------------------
@@ -475,11 +470,10 @@ def _encrypt_padded(
         raise ValueError("padded payload must be a non-empty multiple of 16 bytes")
     if len(rids) != len(padded):
         raise ValueError("need one 16-byte rid per block")
-    states = np.frombuffer(padded, dtype=np.uint8).reshape(n_blocks, BLOCK_BYTES)
-    for material in _round_materials(key.raw)[: params.rounds]:
-        states = _round_forward_arr(states, material)
+    blocks = np.frombuffer(padded, dtype=np.uint8).reshape(n_blocks, BLOCK_BYTES)
+    y = _rounds(np.ascontiguousarray(blocks.T), _round_materials(key.raw)[: params.rounds], False)
     rid_rows = np.frombuffer(rids, dtype=np.uint8).reshape(n_blocks, BLOCK_BYTES)
-    cipher_bytes, final_bytes = _caf_forward(states, rid_rows, key, params.caf_steps)
+    cipher_bytes, final_bytes = _caf_forward(y.T, rid_rows, key, params.caf_steps)
     masked = final_bytes ^ np.frombuffer(key.caf_segment, dtype=np.uint8)
     records = np.concatenate([cipher_bytes, masked], axis=1)
     records.flags.writeable = False
@@ -496,30 +490,25 @@ def _decrypt_records_raw(records: np.ndarray, key: SecretKey, params: CipherPara
         )
     final_bytes = records[:, BLOCK_BYTES:] ^ np.frombuffer(key.caf_segment, dtype=np.uint8)
     states = _caf_backward(records[:, :BLOCK_BYTES], final_bytes, key, params.caf_steps)
-    for material in reversed(_round_materials(key.raw)[: params.rounds]):
-        states = _round_inverse_arr(states, material)
-    return states.tobytes()
+    y = _rounds(np.ascontiguousarray(states.T), _round_materials(key.raw)[: params.rounds], True)
+    return y.T.tobytes()
 
 
 def encrypt_stream(
     plaintext: bytes,
     key: SecretKey,
     params: CipherParams,
-    rid_source: Callable[[], bytes],
+    rid_source: Callable[[int], bytes],
 ) -> np.ndarray:
     """Pad and encrypt a byte string, one fresh rid per block.
+
+    `rid_source(n)` is called once and must return the n blocks' 16-byte rids
+    as 16·n bytes.
 
     Returns the read-only (n, 32) uint8 record array, one wire record per row.
     """
     padded = pad(plaintext)
-    n_blocks = len(padded) // BLOCK_BYTES
-    rids = []
-    for _ in range(n_blocks):
-        rid = rid_source()
-        if len(rid) != BLOCK_BYTES:
-            raise ValueError("rid_source must yield 16-byte values")
-        rids.append(rid)
-    return _encrypt_padded(padded, key, params, b"".join(rids))
+    return _encrypt_padded(padded, key, params, rid_source(len(padded) // BLOCK_BYTES))
 
 
 def decrypt_stream(records: np.ndarray, key: SecretKey, params: CipherParams) -> bytes:
@@ -529,22 +518,30 @@ def decrypt_stream(records: np.ndarray, key: SecretKey, params: CipherParams) ->
 
 # --- rid sources ---------------------------------------------------------------
 
-def os_rid_source() -> bytes:
-    """Fresh random initial data from the operating system's entropy pool."""
-    return secrets.token_bytes(BLOCK_BYTES)
+def os_rid_source(n: int = 1) -> bytes:
+    """n fresh rids, 16 bytes each, from the operating system's entropy pool."""
+    return secrets.token_bytes(BLOCK_BYTES * n)
 
 
 class SeededRidSource:
-    """Deterministic rid stream for reproducible runs; thread-safe."""
+    """Deterministic rid stream for reproducible runs; thread-safe.
+
+    Rid i of the stream is sha256(seed || i as 8 big-endian bytes)[:16]; a
+    call for n rids takes the next n indices and returns their 16·n bytes.
+    """
 
     def __init__(self, seed: bytes):
         self._seed = bytes(seed)
         self._counter = 0
         self._lock = threading.Lock()
 
-    def __call__(self) -> bytes:
+    def __call__(self, n: int = 1) -> bytes:
+        if n < 0:
+            raise ValueError(f"rid count must be >= 0, got {n}")
         with self._lock:
-            n = self._counter
-            self._counter += 1
-        digest = hashlib.sha256(self._seed + n.to_bytes(8, "big")).digest()
-        return digest[:BLOCK_BYTES]
+            start = self._counter
+            self._counter += n
+        return b"".join(
+            [hashlib.sha256(self._seed + i.to_bytes(8, "big")).digest()[:BLOCK_BYTES]
+             for i in range(start, start + n)]
+        )

@@ -109,8 +109,7 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 def _cmd_keygen(args) -> int:
     if args.seed is not None:
-        source = SeededRidSource(_parse_seed(args.seed) + b"/keygen")
-        key_bytes = source() + source()
+        key_bytes = SeededRidSource(_parse_seed(args.seed) + b"/keygen")(2)
     else:
         key_bytes = secrets.token_bytes(32)
     _write_key_file(Path(args.out), key_bytes)

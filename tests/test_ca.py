@@ -75,6 +75,12 @@ class TestRuleFromTable:
         with pytest.raises(ValueError, match="0 or 1"):
             ca.rule_from_table(1, [2, 0, 0, 0, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("radius", [0, 4])
+    def test_rejects_radius_out_of_range(self, radius):
+        # a table of the right length for the radius, so only the radius is wrong
+        with pytest.raises(ValueError, match=r"radius must be in 1\.\.3"):
+            ca.rule_from_table(radius, [0] * (1 << (2 * radius + 1)))
+
 
 class TestApplyRule:
     def test_examples(self):

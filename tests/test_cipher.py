@@ -1,8 +1,11 @@
+import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpca import cipher
@@ -299,6 +302,58 @@ class TestStageOracles:
         assert round_forward(state, key, index) == naive_round(state, materials)
         assert round_inverse(state, key, index) == naive_round(state, materials, inverse=True)
 
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_byte_sub_every_value_and_amount(self, inverse):
+        # material byte j+1 sets row j's rotation: rows 0..15 get 0..7 twice
+        rng = np.random.default_rng(26)
+        material = (rng.integers(0, 256, 16, dtype=np.uint8) & 0xF8) | np.roll(np.arange(16) % 8, 1)
+        material = material.astype(np.uint8)
+        y = np.tile(np.arange(256, dtype=np.uint8), (16, 1))  # column v = sixteen bytes of v
+        got = cipher._byte_sub(y, material, inverse)
+        for v in range(256):
+            expected = naive_byte_sub(bytes([v]) * 16, material.tobytes(), inverse)
+            assert got[:, v].tobytes() == expected
+
+    @given(
+        rounds=st.integers(1, cipher.MAX_ROUNDS),
+        n=st.sampled_from([1, 2, 3, 257]) | st.integers(1, 600),
+        layout=st.sampled_from(["c", "read-only", "fortran", "strided"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rounds=cipher.MAX_ROUNDS, n=257, layout="c", seed=0)
+    @example(rounds=cipher.MAX_ROUNDS, n=600, layout="fortran", seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_batched_rounds_match_oracle(self, rounds, n, layout, seed):
+        rng = np.random.default_rng(seed)
+        materials = rng.integers(0, 256, (rounds, 4, 16), dtype=np.uint8)
+        blocks = rng.integers(0, 256, (n, 16), dtype=np.uint8)
+        if layout == "read-only":
+            y = np.frombuffer(blocks.T.tobytes(), dtype=np.uint8).reshape(16, n)
+        elif layout == "fortran":
+            y = blocks.T  # (16, n) view of C-ordered blocks: Fortran order
+        elif layout == "strided":
+            wide = np.zeros((32, 2 * n), dtype=np.uint8)
+            wide[::2, ::2] = blocks.T
+            y = wide[::2, ::2]
+        else:
+            y = np.ascontiguousarray(blocks.T)
+        before = y.copy()
+        forward = cipher._rounds(y, materials, inverse=False)
+        inverse = cipher._rounds(y, materials, inverse=True)
+        assert np.array_equal(y, before)  # the input is never written
+        assert forward.shape == inverse.shape == (16, n)
+        rows = [[m.tobytes() for m in round_materials] for round_materials in materials]
+        checked = sorted({0, n - 1, *rng.integers(0, n, 6).tolist()})
+        for i in checked:
+            fwd = inv = blocks[i].tobytes()
+            for round_materials in rows:
+                fwd = naive_round(fwd, round_materials)
+            for round_materials in reversed(rows):
+                inv = naive_round(inv, round_materials, inverse=True)
+            assert forward[:, i].tobytes() == fwd
+            assert inverse[:, i].tobytes() == inv
+        assert np.array_equal(cipher._rounds(forward, materials, inverse=True), before)
+
     def test_oracle_round_trips(self):
         rng = np.random.default_rng(25)
         for _ in range(50):
@@ -497,7 +552,7 @@ class TestStreams:
 
     def test_bad_rid_source_rejected(self):
         with pytest.raises(ValueError):
-            encrypt_stream(b"zz", ZERO_KEY, FAST, lambda: b"short")
+            encrypt_stream(b"zz", ZERO_KEY, FAST, lambda n: b"short")
 
     @given(st.binary(min_size=0, max_size=64))
     @settings(max_examples=40, deadline=None)
@@ -521,6 +576,63 @@ class TestRidSources:
         assert seq1 == seq2
         assert len(set(seq1)) == 5
         assert [len(r) for r in seq1] == [16] * 5
+
+    def test_os_source_batch(self):
+        rids = os_rid_source(5)
+        assert len(rids) == 80
+        assert len({rids[i : i + 16] for i in range(0, 80, 16)}) == 5
+
+    def test_seeded_stream_is_the_hash_of_seed_and_counter(self):
+        rids = SeededRidSource(b"k")(3)
+        expected = b"".join(
+            hashlib.sha256(b"k" + i.to_bytes(8, "big")).digest()[:16] for i in range(3)
+        )
+        assert rids == expected
+
+    def test_batch_equals_single_calls(self):
+        singles = SeededRidSource(b"b")
+        assert SeededRidSource(b"b")(7) == b"".join(singles() for _ in range(7))
+
+    def test_consecutive_batches_continue_the_counter(self):
+        source = SeededRidSource(b"c")
+        assert source(2) + source(0) + source(3) + source() == SeededRidSource(b"c")(6)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            SeededRidSource(b"n")(-1)
+
+    def test_threads_draw_disjoint_ranges(self):
+        # more threads than cores and a short switch interval, so a counter
+        # update lost between threads would hand two batches the same rids
+        source = SeededRidSource(b"threads")
+        drawn = [[] for _ in range(6)]
+
+        def draw(out):
+            for k in range(200):
+                out.append(source(1 + k % 5))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(out,)) for out in drawn]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        rids = b"".join(b"".join(out) for out in drawn)
+        total = len(rids) // 16
+        assert total == 6 * sum(1 + k % 5 for k in range(200))
+        stream = SeededRidSource(b"threads")(total)
+        as_set = lambda blob: {blob[i : i + 16] for i in range(0, len(blob), 16)}  # noqa: E731
+        assert as_set(rids) == as_set(stream)
+        assert len(as_set(stream)) == total
+
+    def test_short_batch_rejected(self):
+        with pytest.raises(ValueError):
+            encrypt_stream(bytes(40), ZERO_KEY, FAST, lambda n: bytes(16 * (n - 1)))
 
 
 class TestReducedVariantBijectivity:
