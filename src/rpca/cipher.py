@@ -258,7 +258,7 @@ def _byte_sub(y: np.ndarray, material: np.ndarray, inverse: bool) -> np.ndarray:
     bytes; the byte after the last is the first.
     """
     column = material.shape + (1,) * (y.ndim - 1)
-    left = np.roll(material, -1) & 7
+    left = np.concatenate((material[1:], material[:1])) & 7
     m = material.reshape(column)
     if inverse:
         return _rotate_right(y ^ m, left.reshape(column))
