@@ -19,6 +19,7 @@ from . import cipher
 from .cipher import BLOCK_BYTES, CipherParams, SecretKey, SeededRidSource
 
 FLIP_TARGETS = ("plaintext", "key")
+MAX_WORKERS = 64  # throughput_bench's process cap; fixed, so a count means the same on any host
 
 
 @dataclass(frozen=True)
@@ -145,10 +146,14 @@ def throughput_bench(
     byte-identical to the serial one; that equality plus a full round trip
     back to the payload is checked on every run. Worker processes are started
     before timing begins, mirroring a long-lived tool's steady state.
+    `workers` must be in 1..MAX_WORKERS; None means one per CPU, up to that.
     """
     if megabytes < 1:
         raise ValueError("megabytes must be >= 1")
-    workers = workers or os.cpu_count() or 1
+    if workers is None:
+        workers = min(os.cpu_count() or 1, MAX_WORKERS)
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
     rng = rng or np.random.default_rng()
     payload = rng.bytes(megabytes * 1_000_000)
     mb = len(payload) / 1e6

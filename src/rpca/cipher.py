@@ -50,7 +50,6 @@ from .ca import Rule
 from .second_order import packed_rule_table, so_iterate_packed
 
 BLOCK_BYTES = 16
-BLOCK_BITS = 128
 RECORD_BYTES = 2 * BLOCK_BYTES
 KEY_BYTES = 32
 CA_RADIUS = 3
@@ -156,15 +155,11 @@ class CipherRecord:
         return self.ciphertext + self.encrypted_final_data
 
 
-def _check_block(value: bytes, what: str) -> bytes:
+def _block(value: bytes, what: str) -> np.ndarray:
+    """A 16-byte value as a uint8 row; ValueError naming `what` otherwise."""
     if len(value) != BLOCK_BYTES:
         raise ValueError(f"{what} must be {BLOCK_BYTES} bytes, got {len(value)}")
-    return value
-
-
-def bits_from_bytes(data: bytes) -> np.ndarray:
-    """Bytes to a cell row; bit 0 of the row is the MSB of byte 0."""
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    return np.frombuffer(value, dtype=np.uint8)
 
 
 # --- rule expansion and round material --------------------------------------
@@ -173,20 +168,19 @@ def expand_rule_segment(segment: bytes) -> Rule:
     """64 key bits written into table entries 0-63 and repeated into 64-127."""
     if len(segment) != 8:
         raise ValueError(f"rule segment must be 8 bytes, got {len(segment)}")
-    bits = bits_from_bytes(segment)
+    bits = np.unpackbits(np.frombuffer(segment, dtype=np.uint8))
     return ca.rule_from_table(CA_RADIUS, np.concatenate([bits, bits]))
 
 
 def _caf_rule(caf_segment: bytes) -> Rule:
     # the CAF segment is already 128 bits: one table entry per bit
-    return ca.rule_from_table(CA_RADIUS, bits_from_bytes(caf_segment))
+    return ca.rule_from_table(CA_RADIUS, np.unpackbits(np.frombuffer(caf_segment, dtype=np.uint8)))
 
 
-def round_constant(round_index: int) -> bytes:
-    """64-bit seed for a round's material automata: bytes all (i+1) mod 256."""
-    if round_index < 0:
-        raise ValueError("round_index must be >= 0")
-    return bytes([(round_index + 1) % 256]) * 8
+# Round i seeds its material automata with 8 bytes of value i + 1.
+_ROUND_CONSTANTS = np.broadcast_to(
+    np.arange(1, MAX_ROUNDS + 1, dtype=np.uint8)[:, None], (MAX_ROUNDS, 8)
+)
 
 
 def _segment_history(segment: bytes) -> np.ndarray:
@@ -198,8 +192,7 @@ def _segment_history(segment: bytes) -> np.ndarray:
     round index only, never on the data being encrypted or the round count.
     """
     table = packed_rule_table(expand_rule_segment(segment))
-    constants = b"".join(round_constant(i) for i in range(MAX_ROUNDS))
-    prev = np.frombuffer(constants, dtype=np.uint8).reshape(MAX_ROUNDS, 8)
+    prev = _ROUND_CONSTANTS
     curr = np.broadcast_to(np.frombuffer(segment, dtype=np.uint8), prev.shape)
     history = np.empty((MAX_ROUNDS, MATERIAL_HISTORY, 8), dtype=np.uint8)
     for t in range(MATERIAL_HISTORY):
@@ -315,10 +308,6 @@ def _rounds(y: np.ndarray, materials: np.ndarray, inverse: bool) -> np.ndarray:
     return y
 
 
-def _block(value: bytes, what: str) -> np.ndarray:
-    return np.frombuffer(_check_block(value, what), dtype=np.uint8)
-
-
 def byte_substitution(state: bytes, material: bytes, direction: str = "forward") -> bytes:
     """Per-byte rotation by a material-chosen amount, then XOR with material."""
     inverse = _parse_direction(direction)
@@ -384,31 +373,9 @@ def _caf_backward(
     return states
 
 
-def caf_core_encrypt(
-    state: bytes, rid: bytes, key: SecretKey, caf_steps: int
-) -> tuple[bytes, bytes]:
-    """Run the block-wide automaton forward from (rid, state).
-
-    Returns (ciphertext, final data), the latter still unmasked.
-    """
-    if caf_steps < MIN_CAF_STEPS:
-        raise ValueError(f"caf_steps must be >= {MIN_CAF_STEPS}")
-    state_row = np.frombuffer(_check_block(state, "state"), dtype=np.uint8)
-    rid_row = np.frombuffer(_check_block(rid, "rid"), dtype=np.uint8)
-    c, final = _caf_forward(state_row, rid_row, key, caf_steps)
-    return c.tobytes(), final.tobytes()
-
-
-def caf_core_decrypt(ciphertext: bytes, final_data: bytes, key: SecretKey, caf_steps: int) -> bytes:
-    """Run the automaton backward from (ciphertext, final data) to the state."""
-    c = np.frombuffer(_check_block(ciphertext, "ciphertext"), dtype=np.uint8)
-    final = np.frombuffer(_check_block(final_data, "final_data"), dtype=np.uint8)
-    return _caf_backward(c, final, key, caf_steps).tobytes()
-
-
 def mask_final_data(final_data: bytes, key: SecretKey) -> bytes:
     """Vernam-mask the final data with the 128-bit key segment; self-inverse."""
-    value = np.frombuffer(_check_block(final_data, "final_data"), dtype=np.uint8)
+    value = _block(final_data, "final_data")
     mask = np.frombuffer(key.caf_segment, dtype=np.uint8)
     return (value ^ mask).tobytes()
 
@@ -419,8 +386,8 @@ def encrypt_block(
     plaintext: bytes, key: SecretKey, params: CipherParams, rid: bytes
 ) -> CipherRecord:
     """Encrypt one 16-byte block with caller-supplied random initial data."""
-    _check_block(plaintext, "plaintext")
-    _check_block(rid, "rid")
+    _block(plaintext, "plaintext")
+    _block(rid, "rid")
     row = _encrypt_padded(plaintext, key, params, rid)[0]
     return CipherRecord(
         ciphertext=row[:BLOCK_BYTES].tobytes(),

@@ -209,8 +209,7 @@ def _cmd_avalanche(args) -> int:
 def _cmd_bench(args) -> int:
     rng, key = _rng_and_key(args)
     params = CipherParams(rounds=args.rounds, caf_steps=args.steps)
-    workers = args.workers or os.cpu_count() or 1
-    report = analysis.throughput_bench(key, params, args.mb, workers, rng=rng)
+    report = analysis.throughput_bench(key, params, args.mb, args.workers, rng=rng)
     print(f"benchmarked {report.megabytes} MB with {report.workers} workers")
     print(f"megabytes={report.megabytes}")
     print(f"workers={report.workers}")

@@ -6,6 +6,8 @@ it shares code with the package under test.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 def naive_step(cells, rule_numbers, radius, boundary):
     """One synchronous CA update, cell by cell, straight from rule bits."""
@@ -190,3 +192,44 @@ def naive_round(block, materials, inverse=False):
     block = naive_row_shift(block, m_row)
     block = naive_column_mix(block, m_mix)
     return naive_add_round_key(block, m_key)
+
+
+# --- a whole block ------------------------------------------------------------
+
+
+def naive_caf_rule_number(key_raw):
+    """Radius-3 rule number of the 128-cell core: table entry p = bit p of key bytes 16..31."""
+    return sum(bit << p for p, bit in enumerate(bits_of_bytes(key_raw[16:32])))
+
+
+@lru_cache(maxsize=8)
+def _naive_schedule(key_raw, rounds):
+    # 55 ms for 64 rounds; the differential tests ask for one key many times
+    return tuple(tuple(naive_round_materials(key_raw, i)) for i in range(rounds))
+
+
+def naive_encrypt_block(key_raw, rounds, steps, block, rid):
+    """The 32-byte wire record of one block.
+
+    The rounds run first. The core then runs `steps` second-order steps from
+    (rid, state); the record is the next-to-last row, then the last row XORed
+    with key bytes 16..31.
+    """
+    for materials in _naive_schedule(key_raw, rounds):
+        block = naive_round(block, materials)
+    ciphertext, final, _ = naive_so_run(bits_of_bytes(rid), bits_of_bytes(block),
+                                        naive_caf_rule_number(key_raw), 3, "cyclic", steps)
+    masked = bytes(a ^ b for a, b in zip(bytes_of_bits(final), key_raw[16:32]))
+    return bytes_of_bits(ciphertext) + masked
+
+
+def naive_decrypt_block(key_raw, rounds, steps, record):
+    """Inverse of naive_encrypt_block: the 16-byte block behind a 32-byte record."""
+    final = bytes(a ^ b for a, b in zip(record[16:], key_raw[16:32]))
+    # backwards from (ciphertext, final data): the rows reached are (state, rid)
+    state, _, _ = naive_so_run(bits_of_bytes(final), bits_of_bytes(record[:16]),
+                               naive_caf_rule_number(key_raw), 3, "cyclic", steps)
+    block = bytes_of_bits(state)
+    for materials in reversed(_naive_schedule(key_raw, rounds)):
+        block = naive_round(block, materials, inverse=True)
+    return block

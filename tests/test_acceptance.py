@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 from _pytest.outcomes import Skipped
 
-from rpca import ca, cipher, container
+from rpca import ca, container
 from rpca.analysis import avalanche, throughput_bench
 from rpca.ca import Boundary
 from rpca.cipher import (
     CipherParams,
-    CipherRecord,
     SeededRidSource,
     add_round_key,
     byte_substitution,

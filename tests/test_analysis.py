@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rpca.analysis import avalanche, throughput_bench
+from rpca import analysis
+from rpca.analysis import MAX_WORKERS, avalanche, throughput_bench
 from rpca.cipher import CipherParams, encrypt_block, parse_key
 
 PARAMS = CipherParams(rounds=2, caf_steps=8)
@@ -87,3 +88,16 @@ class TestThroughputBench:
     def test_validation(self):
         with pytest.raises(ValueError):
             throughput_bench(key_for(0), PARAMS, megabytes=0)
+
+    @pytest.mark.parametrize("workers", [0, -1, MAX_WORKERS + 1])
+    def test_worker_count_out_of_range_rejected(self, monkeypatch, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        class NoDraws:
+            def bytes(self, n):
+                raise AssertionError("the payload was drawn before the check")
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match=f"workers must be in 1..{MAX_WORKERS}"):
+            throughput_bench(key_for(0), PARAMS, workers=workers, rng=NoDraws())

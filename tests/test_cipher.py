@@ -17,12 +17,9 @@ from rpca.cipher import (
     PaddingError,
     ParameterMismatchError,
     RecordFormatError,
-    SecretKey,
     SeededRidSource,
     add_round_key,
     byte_substitution,
-    caf_core_decrypt,
-    caf_core_encrypt,
     column_mix,
     decrypt_block,
     decrypt_stream,
@@ -43,6 +40,8 @@ from helpers import (
     naive_add_round_key,
     naive_byte_sub,
     naive_column_mix,
+    naive_decrypt_block,
+    naive_encrypt_block,
     naive_round,
     naive_round_materials,
     naive_row_shift,
@@ -60,6 +59,10 @@ def rand_key(rng):
 
 def rand_block(rng):
     return rng.bytes(16)
+
+
+def row(data):
+    return np.frombuffer(data, dtype=np.uint8)
 
 
 class TestParseKey:
@@ -367,50 +370,45 @@ class TestCafCore:
         rng = np.random.default_rng(10)
         for steps in (2, 8, 32):
             key, state, rid = rand_key(rng), rand_block(rng), rand_block(rng)
-            c, final = caf_core_encrypt(state, rid, key, steps)
-            assert caf_core_decrypt(c, final, key, steps) == state
+            c, final = cipher._caf_forward(row(state), row(rid), key, steps)
+            assert cipher._caf_backward(c, final, key, steps).tobytes() == state
 
     def test_rid_is_recovered_by_the_backward_pass(self):
         rng = np.random.default_rng(11)
         key, state, rid = rand_key(rng), rand_block(rng), rand_block(rng)
-        c, final = caf_core_encrypt(state, rid, key, 8)
-        pair = SecondOrderState(
-            cipher.bits_from_bytes(c), cipher.bits_from_bytes(final)
-        )
+        c, final = cipher._caf_forward(row(state), row(rid), key, 8)
+        pair = SecondOrderState(np.unpackbits(c), np.unpackbits(final))
         back = so_iterate_backward(pair, cipher._caf_rule(key.caf_segment), Boundary.CYCLIC, 8)
         assert np.packbits(back.prev).tobytes() == rid
 
     def test_zero_rule_trajectory_matches_oracle(self):
         # all-zero CAF segment gives the all-zero rule: each step inverts prev
         _, _, history = naive_so_run([0] * 128, [0] * 128, 0, 3, "cyclic", 2)
-        c, final = caf_core_encrypt(bytes(16), bytes(16), ZERO_KEY, 2)
-        assert list(cipher.bits_from_bytes(c)) == history[0]
-        assert list(cipher.bits_from_bytes(final)) == history[1]
-        assert c == b"\xff" * 16  # NOT of the all-zero rid
-        assert final == b"\xff" * 16
+        c, final = cipher._caf_forward(row(bytes(16)), row(bytes(16)), ZERO_KEY, 2)
+        assert list(np.unpackbits(c)) == history[0]
+        assert list(np.unpackbits(final)) == history[1]
+        assert c.tobytes() == b"\xff" * 16  # NOT of the all-zero rid
+        assert final.tobytes() == b"\xff" * 16
 
     def test_rid_changes_the_ciphertext(self):
         rng = np.random.default_rng(12)
         key, state = rand_key(rng), rand_block(rng)
-        c1, _ = caf_core_encrypt(state, rand_block(rng), key, 32)
-        c2, _ = caf_core_encrypt(state, rand_block(rng), key, 32)
-        assert c1 != c2
+        c1, _ = cipher._caf_forward(row(state), row(rand_block(rng)), key, 32)
+        c2, _ = cipher._caf_forward(row(state), row(rand_block(rng)), key, 32)
+        assert c1.tobytes() != c2.tobytes()
 
     def test_tampered_ciphertext_breaks_recovery(self):
         rng = np.random.default_rng(13)
         key, state, rid = rand_key(rng), rand_block(rng), rand_block(rng)
-        c, final = caf_core_encrypt(state, rid, key, 32)
-        tampered = bytes([c[0] ^ 0x80]) + c[1:]
-        assert caf_core_decrypt(tampered, final, key, 32) != state
-
-    def test_step_bound(self):
-        with pytest.raises(ValueError):
-            caf_core_encrypt(bytes(16), bytes(16), ZERO_KEY, 1)
+        c, final = cipher._caf_forward(row(state), row(rid), key, 32)
+        tampered = c.copy()
+        tampered[0] ^= 0x80
+        assert cipher._caf_backward(tampered, final, key, 32).tobytes() != state
 
     def test_zero_decrypt_steps_rejected(self):
         # a bare loop over zero steps would hand back its input unchanged
         with pytest.raises(ValueError, match="steps must be >= 1"):
-            caf_core_decrypt(bytes(16), bytes(16), ZERO_KEY, 0)
+            cipher._caf_backward(row(bytes(16)), row(bytes(16)), ZERO_KEY, 0)
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_peak_memory_is_a_small_multiple_of_the_input(self, direction):
@@ -561,6 +559,34 @@ class TestStreams:
         assert len(padded) % 16 == 0
         assert len(padded) > len(data)
         assert cipher.unpad(padded) == data
+
+
+class TestWholeBlockOracle:
+    @given(
+        raw=st.binary(min_size=32, max_size=32),
+        rounds=st.integers(1, cipher.MAX_ROUNDS),
+        steps=st.integers(2, 64),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(raw=bytes(range(32)), rounds=cipher.MAX_ROUNDS, steps=64, n=300, seed=0)
+    @settings(max_examples=20, deadline=None)
+    def test_streams_match_oracle(self, raw, rounds, steps, n, seed):
+        key, params = parse_key(raw), CipherParams(rounds, steps)
+        rng = np.random.default_rng(seed)
+        padded, rids, records = rng.bytes(16 * n), rng.bytes(16 * n), rng.bytes(32 * n)
+        encrypted = cipher._encrypt_padded(padded, key, params, rids)
+        decrypted = cipher._decrypt_records_raw(
+            np.frombuffer(records, dtype=np.uint8).reshape(n, 32), key, params
+        )
+        for i in sorted({0, n - 1, *rng.integers(0, n, 6).tolist()}):
+            block, rid = padded[16 * i : 16 * (i + 1)], rids[16 * i : 16 * (i + 1)]
+            record = encrypted[i].tobytes()
+            assert record == naive_encrypt_block(raw, rounds, steps, block, rid)
+            assert naive_decrypt_block(raw, rounds, steps, record) == block
+            assert decrypted[16 * i : 16 * (i + 1)] == naive_decrypt_block(
+                raw, rounds, steps, records[32 * i : 32 * (i + 1)]
+            )
 
 
 class TestRidSources:

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from rpca import cli
+from rpca import analysis, cli
 from rpca.cli import RESEARCH_WARNING, load_key, main
 from rpca.cipher import KeyFormatError
 
@@ -208,6 +208,17 @@ class TestEncryptDecrypt:
             "--out", str(tmp_path / "c"), "--rounds", "99",
         )
         assert code == 2
+
+
+class TestBench:
+    def test_zero_workers_is_data_error_without_a_pool(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", no_pool)
+        code, _, err = run(capsys, "bench", "--workers", "0", "--rounds", "1", "--steps", "2")
+        assert code == 2
+        assert "workers" in err
 
 
 class TestRules:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpca import container
 from rpca.cipher import CipherParams, SeededRidSource, encrypt_stream, parse_key
 from rpca.container import (
     ContainerError,

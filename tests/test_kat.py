@@ -5,8 +5,8 @@ seeded plaintexts. The tests regenerate every vector from its seeds and
 compare bytes exactly, so any change to the wire bytes fails here. Each
 vector is also checked against the independent oracles in `helpers.py`: the
 masked record is unmasked and run backwards by `naive_so_run`, which must
-reach the block's rid and the state the stage functions make from the
-plaintext under `naive_round_materials`.
+reach the block's rid and the state `naive_round` makes from the plaintext
+under `naive_round_materials`.
 
 Regenerate the file (only when the format is meant to change) with
 `PYTHONPATH=src python tests/test_kat.py --write`.
@@ -21,9 +21,6 @@ from rpca.cipher import (
     CipherParams,
     CipherRecord,
     SeededRidSource,
-    add_round_key,
-    byte_substitution,
-    column_mix,
     decrypt_block,
     decrypt_stream,
     derive_round_material,
@@ -31,11 +28,17 @@ from rpca.cipher import (
     encrypt_stream,
     pad,
     parse_key,
-    row_shift,
 )
 from rpca.container import ContainerHeader, read_container, write_container
 
-from helpers import bits_of_bytes, bytes_of_bits, naive_round_materials, naive_so_run
+from helpers import (
+    bits_of_bytes,
+    bytes_of_bits,
+    naive_caf_rule_number,
+    naive_round,
+    naive_round_materials,
+    naive_so_run,
+)
 
 KAT_PATH = Path(__file__).parent / "data" / "kat_v1.json"
 
@@ -104,15 +107,9 @@ def kat() -> dict:
     return json.loads(KAT_PATH.read_text())
 
 
-def caf_rule_number(key_raw: bytes) -> int:
-    return sum(bit << p for p, bit in enumerate(bits_of_bytes(key_raw[16:32])))
-
-
 def staged_rounds(block: bytes, materials: list) -> bytes:
-    for m_sub, m_row, m_mix, m_key in materials:
-        block = add_round_key(
-            column_mix(row_shift(byte_substitution(block, m_sub), m_row), m_mix), m_key
-        )
+    for round_materials in materials:
+        block = naive_round(block, round_materials)
     return block
 
 
@@ -122,7 +119,7 @@ def check_record_against_oracle(record: bytes, key_raw: bytes, steps: int, rid: 
     final = bytes(a ^ b for a, b in zip(masked, key_raw[16:32]))
     # backwards from (ciphertext, final data): the rows reached are (state, rid)
     state_bits, rid_bits, _ = naive_so_run(bits_of_bytes(final), bits_of_bytes(ciphertext),
-                                           caf_rule_number(key_raw), 3, "cyclic", steps)
+                                           naive_caf_rule_number(key_raw), 3, "cyclic", steps)
     assert bytes_of_bits(rid_bits) == rid
     assert bytes_of_bits(state_bits) == expected_state
 
