@@ -20,6 +20,8 @@ from .cipher import BLOCK_BYTES, CipherParams, SecretKey, SeededRidSource
 
 FLIP_TARGETS = ("plaintext", "key")
 MAX_WORKERS = 64  # throughput_bench's process cap; fixed, so a count means the same on any host
+MAX_MEGABYTES = 1024  # throughput_bench's payload cap, fixed like MAX_WORKERS
+MAX_TRIALS = 1_000_000  # avalanche's trial cap: a trial holds about 300 bytes at once
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,8 @@ def avalanche(
     chosen bit of the plaintext (or of the key), re-encrypts with the same
     rid, and records which of the 128 ciphertext bits differ.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     if flip_target not in FLIP_TARGETS:
         raise ValueError(f"flip_target must be one of {FLIP_TARGETS}")
     rng = rng or np.random.default_rng()
@@ -148,8 +150,8 @@ def throughput_bench(
     before timing begins, mirroring a long-lived tool's steady state.
     `workers` must be in 1..MAX_WORKERS; None means one per CPU, up to that.
     """
-    if megabytes < 1:
-        raise ValueError("megabytes must be >= 1")
+    if not 1 <= megabytes <= MAX_MEGABYTES:
+        raise ValueError(f"megabytes must be in 1..{MAX_MEGABYTES}, got {megabytes}")
     if workers is None:
         workers = min(os.cpu_count() or 1, MAX_WORKERS)
     if not 1 <= workers <= MAX_WORKERS:

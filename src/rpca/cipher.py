@@ -16,16 +16,14 @@ automaton backwards from the transmitted pair, discards the recovered random
 row, and undoes the rounds. Each block therefore costs twice its size on the
 wire, and encryption is randomized through the injected rid values.
 
-Nothing here unpacks bits. The core steps the (n, 16) byte rows directly,
-one gather per step from the key's window table
-(second_order.packed_rule_table, 16 KiB at radius 3), and a small per-key
-cache keeps the last tables built. Key setup runs the material automata on
-the same kernel over (64, 8) packed rows, one per round, and keeps a key's
-material for every round as one read-only (64, 4, 16) array; RoundMaterial
-is the single-round view returned by derive_round_material. The rounds run
-byte-position-major: a stream's blocks are transposed once into (16, n)
-rows, row j holding byte j of every block, so each round transform is a few
-whole-row operations, and the core takes the transposed view back.
+Nothing here unpacks bits. A stream's blocks are transposed once into
+(16, n) byte-position rows, row j holding byte j of every block: each round
+transform is a few whole-row operations on them, and the core steps the same
+rows, one gather per step from the key's window table (packed_rule_table,
+16 KiB at radius 3, the last 16 cached). Key setup runs the material
+automata on that kernel over (64, 8) packed rows, one per round, two steps a
+call, and keeps a key's material for every round as one read-only
+(64, 4, 16) array; derive_round_material returns one round's RoundMaterial.
 
 All operations here are pure given an explicit rid; batch variants process
 a whole stream of blocks as one numpy matrix. A stream's records are one
@@ -53,7 +51,6 @@ BLOCK_BYTES = 16
 RECORD_BYTES = 2 * BLOCK_BYTES
 KEY_BYTES = 32
 CA_RADIUS = 3
-MATERIAL_HISTORY = 4  # configurations kept per round: q_n .. q_{n-3}
 
 MIN_ROUNDS, MAX_ROUNDS = 1, 64
 MIN_CAF_STEPS, MAX_CAF_STEPS = 2, 1024
@@ -192,13 +189,10 @@ def _segment_history(segment: bytes) -> np.ndarray:
     round index only, never on the data being encrypted or the round count.
     """
     table = packed_rule_table(expand_rule_segment(segment))
-    prev = _ROUND_CONSTANTS
-    curr = np.broadcast_to(np.frombuffer(segment, dtype=np.uint8), prev.shape)
-    history = np.empty((MAX_ROUNDS, MATERIAL_HISTORY, 8), dtype=np.uint8)
-    for t in range(MATERIAL_HISTORY):
-        prev, curr = so_iterate_packed(prev, curr, table, 1)
-        history[:, MATERIAL_HISTORY - 1 - t] = curr
-    return history
+    seg = np.broadcast_to(np.frombuffer(segment, dtype=np.uint8), _ROUND_CONSTANTS.shape)
+    q1, q2 = so_iterate_packed(_ROUND_CONSTANTS, seg, table, 2)  # a run returns its two newest
+    q3, q4 = so_iterate_packed(q1, q2, table, 2)
+    return np.array([q4, q3, q2, q1]).transpose(1, 0, 2)
 
 
 @lru_cache(maxsize=256)

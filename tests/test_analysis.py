@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rpca import analysis
-from rpca.analysis import MAX_WORKERS, avalanche, throughput_bench
+from rpca.analysis import MAX_MEGABYTES, MAX_TRIALS, MAX_WORKERS, avalanche, throughput_bench
 from rpca.cipher import CipherParams, encrypt_block, parse_key
 
 PARAMS = CipherParams(rounds=2, caf_steps=8)
@@ -10,6 +10,13 @@ PARAMS = CipherParams(rounds=2, caf_steps=8)
 
 def key_for(seed):
     return parse_key(np.random.default_rng(seed).bytes(32))
+
+
+class NoDraws:
+    """An rng stand-in that fails if anything is drawn from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} was used before the check")
 
 
 class TestAvalanche:
@@ -65,6 +72,11 @@ class TestAvalanche:
         with pytest.raises(ValueError):
             avalanche(key_for(0), PARAMS, trials=1, flip_target="rid")
 
+    @pytest.mark.parametrize("trials", [0, MAX_TRIALS + 1, 10**12])
+    def test_trial_count_out_of_range_rejected_before_drawing(self, trials):
+        with pytest.raises(ValueError, match=f"trials must be in 1..{MAX_TRIALS}"):
+            avalanche(key_for(0), PARAMS, trials=trials, rng=NoDraws())
+
 
 class TestThroughputBench:
     def test_one_megabyte_report(self):
@@ -94,10 +106,11 @@ class TestThroughputBench:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        class NoDraws:
-            def bytes(self, n):
-                raise AssertionError("the payload was drawn before the check")
-
         monkeypatch.setattr(analysis, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ValueError, match=f"workers must be in 1..{MAX_WORKERS}"):
             throughput_bench(key_for(0), PARAMS, workers=workers, rng=NoDraws())
+
+    @pytest.mark.parametrize("megabytes", [MAX_MEGABYTES + 1, 10**7])
+    def test_megabytes_above_the_cap_rejected_before_drawing(self, megabytes):
+        with pytest.raises(ValueError, match=f"megabytes must be in 1..{MAX_MEGABYTES}"):
+            throughput_bench(key_for(0), PARAMS, megabytes=megabytes, workers=1, rng=NoDraws())

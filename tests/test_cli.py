@@ -8,7 +8,14 @@ import pytest
 
 from rpca import analysis, cli
 from rpca.cli import RESEARCH_WARNING, load_key, main
-from rpca.cipher import KeyFormatError
+from rpca.cipher import KeyFormatError, parse_key
+
+
+class NoDraws:
+    """An rng stand-in that fails if anything is drawn from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} was used before the check")
 
 
 def run(capsys, *argv):
@@ -220,6 +227,12 @@ class TestBench:
         assert code == 2
         assert "workers" in err
 
+    def test_megabytes_above_the_cap_is_data_error_before_drawing(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_rng_and_key", lambda args: (NoDraws(), parse_key(bytes(32))))
+        code, _, err = run(capsys, "bench", "--mb", "10000000", "--workers", "1", "--seed", "01")
+        assert code == 2
+        assert f"megabytes must be in 1..{analysis.MAX_MEGABYTES}" in err
+
 
 class TestRules:
     def test_complement_example(self, capsys):
@@ -311,6 +324,12 @@ class TestAvalancheCommand:
         )
         assert code == 0
         assert "flip_target=key" in out
+
+    def test_trials_above_the_cap_is_data_error_before_drawing(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_rng_and_key", lambda args: (NoDraws(), parse_key(bytes(32))))
+        code, _, err = run(capsys, "avalanche", "--trials", "1000000000000", "--seed", "01")
+        assert code == 2
+        assert f"trials must be in 1..{analysis.MAX_TRIALS}" in err
 
 
 class TestUsageErrors:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpca import ca
+from rpca import ca, second_order
 from rpca.ca import Boundary
 from rpca.second_order import (
     SecondOrderState,
@@ -174,7 +174,7 @@ class TestIteratePacked:
         st.sampled_from([1, 2, 3, 8, 16, 32]),
         st.sampled_from([(), (1,), (3,), (2, 3)]),
         st.integers(1, 64),
-        st.sampled_from(["C", "F", "strided"]),
+        st.sampled_from(["C", "F", "strided", "readonly", "transposed"]),
         st.randoms(use_true_random=False),
     )
     def test_matches_per_cell_iteration(self, radius, n_bytes, batch, steps, layout, rnd):
@@ -183,14 +183,45 @@ class TestIteratePacked:
         prev, curr = rng.integers(0, 256, (2,) + batch + (2 * n_bytes,), dtype=np.uint8)
         if layout == "strided":
             prev, curr = prev[..., ::2], curr[..., ::2]
+        elif layout == "readonly":  # np.frombuffer rows, as the cipher passes its rids
+            prev, curr = (
+                np.frombuffer(x[..., :n_bytes].tobytes(), np.uint8).reshape(batch + (n_bytes,))
+                for x in (prev, curr)
+            )
+        elif layout == "transposed":  # C-ordered byte-position rows passed as .T, like y.T
+            prev, curr = (np.ascontiguousarray(x[..., :n_bytes].T).T for x in (prev, curr))
         else:
             prev = np.array(prev[..., :n_bytes], order=layout)
             curr = np.array(curr[..., :n_bytes], order=layout)
+        before = prev.copy(), curr.copy()
         p, c = so_iterate_packed(prev, curr, packed_rule_table(rule), steps)
+        assert np.array_equal(prev, before[0]) and np.array_equal(curr, before[1])
         cells = SecondOrderState(np.unpackbits(prev, axis=-1), np.unpackbits(curr, axis=-1))
         ref = so_iterate_forward(cells, rule, Boundary.CYCLIC, steps)
         assert np.array_equal(p, np.packbits(ref.prev, axis=-1))
         assert np.array_equal(c, np.packbits(ref.curr, axis=-1))
+
+    @pytest.mark.parametrize("n_bytes", [1, 2, 3, 8, 16])
+    def test_blocks_across_chunk_edges_match_per_cell_iteration(self, monkeypatch, n_bytes):
+        # With _CHUNK = 7 the kernel steps max(1, 7 // n_bytes) configurations
+        # per block, so these batches end just below, at and just above a
+        # block edge; the default chunk needs far more bytes than any other
+        # test here passes.
+        monkeypatch.setattr(second_order, "_CHUNK", 7)
+        width = max(1, 7 // n_bytes)
+        rng = np.random.default_rng(n_bytes)
+        for radius in (1, 3):
+            rule = random_rule(radius, random.Random(n_bytes))
+            table = packed_rule_table(rule)
+            for m in (width - 1, width, width + 1, 3 * width - 1, 3 * width, 3 * width + 1):
+                if m == 0:
+                    continue
+                prev, curr = rng.integers(0, 256, (2, n_bytes, m), dtype=np.uint8)
+                p, c = so_iterate_packed(prev.T, curr.T, table, 5)
+                cells = SecondOrderState(*(np.unpackbits(x.T, axis=-1) for x in (prev, curr)))
+                ref = so_iterate_forward(cells, rule, Boundary.CYCLIC, 5)
+                assert np.array_equal(p, np.packbits(ref.prev, axis=-1)), m
+                assert np.array_equal(c, np.packbits(ref.curr, axis=-1)), m
 
     @settings(max_examples=60, deadline=None)
     @given(
