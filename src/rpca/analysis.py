@@ -12,6 +12,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -116,25 +117,6 @@ class ThroughputReport:
         return self.encrypt_multi_mbps / self.encrypt_single_mbps
 
 
-def _encrypt_slab(args) -> np.ndarray:
-    raw_key, rounds, caf_steps, padded, rids = args
-    return cipher._encrypt_padded(
-        padded, cipher.parse_key(raw_key), CipherParams(rounds, caf_steps), rids
-    )
-
-
-def _decrypt_slab(args) -> bytes:
-    raw_key, rounds, caf_steps, records = args
-    return cipher._decrypt_records_raw(
-        records, cipher.parse_key(raw_key), CipherParams(rounds, caf_steps)
-    )
-
-
-def _slab_bounds(n_blocks: int, workers: int) -> list[tuple[int, int]]:
-    per = -(-n_blocks // workers)  # ceil division
-    return [(lo, min(lo + per, n_blocks)) for lo in range(0, n_blocks, per)]
-
-
 def throughput_bench(
     key: SecretKey,
     params: CipherParams,
@@ -173,35 +155,24 @@ def throughput_bench(
     t_dec = time.perf_counter() - t0
     round_trip_ok = cipher.unpad(serial_padded) == payload
 
-    bounds = _slab_bounds(n_blocks, workers)
+    per = -(-n_blocks // workers)  # blocks per slab, rounded up; the last may be short
+    starts = range(0, n_blocks, per)
+    padded_slabs = [padded[lo * BLOCK_BYTES : (lo + per) * BLOCK_BYTES] for lo in starts]
+    rid_slabs = [rids[lo * BLOCK_BYTES : (lo + per) * BLOCK_BYTES] for lo in starts]
+    record_slabs = [serial_records[lo : lo + per] for lo in starts]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         list(pool.map(int, range(workers)))  # spin the workers up
 
-        enc_args = [
-            (
-                key.raw,
-                params.rounds,
-                params.caf_steps,
-                padded[lo * BLOCK_BYTES : hi * BLOCK_BYTES],
-                rids[lo * BLOCK_BYTES : hi * BLOCK_BYTES],
-            )
-            for lo, hi in bounds
-        ]
         t0 = time.perf_counter()
-        enc_parts = list(pool.map(_encrypt_slab, enc_args))
+        enc_parts = list(
+            pool.map(cipher._encrypt_padded, padded_slabs, repeat(key), repeat(params), rid_slabs)
+        )
         t_enc_multi = time.perf_counter() - t0
 
-        dec_args = [
-            (
-                key.raw,
-                params.rounds,
-                params.caf_steps,
-                serial_records[lo:hi],
-            )
-            for lo, hi in bounds
-        ]
         t0 = time.perf_counter()
-        dec_parts = list(pool.map(_decrypt_slab, dec_args))
+        dec_parts = list(
+            pool.map(cipher._decrypt_records_raw, record_slabs, repeat(key), repeat(params))
+        )
         t_dec_multi = time.perf_counter() - t0
 
     parallel_ok = (

@@ -23,7 +23,7 @@ rows, one gather per step from the key's window table (packed_rule_table,
 16 KiB at radius 3, the last 16 cached). Key setup runs the material
 automata on that kernel over (64, 8) packed rows, one per round, two steps a
 call, and keeps a key's material for every round as one read-only
-(64, 4, 16) array; derive_round_material returns one round's RoundMaterial.
+(64, 4, 16) array; derive_round_material returns one round's (4, 16) row.
 
 All operations here are pure given an explicit rid; batch variants process
 a whole stream of blocks as one numpy matrix. A stream's records are one
@@ -126,16 +126,6 @@ class CipherParams:
 
 
 @dataclass(frozen=True)
-class RoundMaterial:
-    """One round's view of _round_materials: four 128-bit CAL+CAR values."""
-
-    m_sub: bytes
-    m_row: bytes
-    m_mix: bytes
-    m_key: bytes
-
-
-@dataclass(frozen=True)
 class CipherRecord:
     """Single-block view of one wire record, with the parameters echoed.
 
@@ -210,15 +200,15 @@ def _round_materials(raw_key: bytes) -> np.ndarray:
     return materials
 
 
-def _round_material(key: SecretKey, round_index: int) -> np.ndarray:
+def derive_round_material(key: SecretKey, round_index: int) -> np.ndarray:
+    """Material for one round; a pure function of (key, round_index).
+
+    A read-only (4, 16) uint8 view of _round_materials whose rows are m_sub,
+    m_row, m_mix and m_key.
+    """
     if not 0 <= round_index < MAX_ROUNDS:
         raise ValueError(f"round_index must be in 0..{MAX_ROUNDS - 1}, got {round_index}")
     return _round_materials(key.raw)[round_index]
-
-
-def derive_round_material(key: SecretKey, round_index: int) -> RoundMaterial:
-    """Material for one round; a pure function of (key, round_index)."""
-    return RoundMaterial(*(m.tobytes() for m in _round_material(key, round_index)))
 
 
 # --- the four round transforms ----------------------------------------------
@@ -329,13 +319,13 @@ def add_round_key(state: bytes, material: bytes) -> bytes:
 
 def round_forward(state: bytes, key: SecretKey, round_index: int) -> bytes:
     """One full round: substitution, row shift, column mix, key addition."""
-    material = _round_material(key, round_index)[None]
+    material = derive_round_material(key, round_index)[None]
     return _rounds(_block(state, "state")[:, None], material, False).tobytes()
 
 
 def round_inverse(state: bytes, key: SecretKey, round_index: int) -> bytes:
     """Inverse of round_forward: the four inverse transforms in reverse order."""
-    material = _round_material(key, round_index)[None]
+    material = derive_round_material(key, round_index)[None]
     return _rounds(_block(state, "state")[:, None], material, True).tobytes()
 
 

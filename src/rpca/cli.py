@@ -74,32 +74,21 @@ def load_key(value: str) -> SecretKey:
     raise KeyFormatError(f"{value!r} is neither an existing key file nor 64 hex characters")
 
 
-def _write_key_file(path: Path, key_bytes: bytes) -> None:
-    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
-    fd = os.open(path, flags, 0o600)
-    try:
-        os.write(fd, key_bytes)
-    finally:
-        os.close(fd)
-    try:
-        os.chmod(path, 0o600)
-    except OSError:
-        pass  # best effort; not every filesystem supports modes
-
-
-def _write_atomic(path: Path, data: bytes) -> None:
+def _write_atomic(path: Path, data: bytes, mode: int = 0o666) -> None:
     """Write through a temp file in the same directory, then rename it over `path`.
 
-    A failed write leaves any existing file at `path` as it was, and removes
-    the temp file. A device or pipe (e.g. /dev/stdout) cannot be replaced, so
-    it is written directly.
+    The temp file is created with `mode` (less the umask), so the data never
+    sits in a file with wider permissions. A failed write leaves any existing
+    file at `path` as it was, and removes the temp file. A device or pipe
+    (e.g. /dev/stdout) cannot be replaced, so it is written directly and its
+    mode is left alone.
     """
     if path.exists() and not path.is_file():
         path.write_bytes(data)
         return
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, "xb") as f:
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode), "wb") as f:
             f.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -112,7 +101,7 @@ def _cmd_keygen(args) -> int:
         key_bytes = SeededRidSource(_parse_seed(args.seed) + b"/keygen")(2)
     else:
         key_bytes = secrets.token_bytes(32)
-    _write_key_file(Path(args.out), key_bytes)
+    _write_atomic(Path(args.out), key_bytes, 0o600)
     print(f"wrote 32-byte key to {args.out}")
     return 0
 

@@ -118,49 +118,52 @@ def pca_run(
 
 # --- legacy cycle cipher ---------------------------------------------------
 
-def _orbit_length(state: np.ndarray, rules: Rule | Sequence[Rule], boundary: Boundary) -> int:
-    """Length of the cycle through `state`; raises if the state is transient."""
+def _half_turn(state: np.ndarray, rules: Rule | Sequence[Rule], boundary: Boundary) -> np.ndarray:
+    """The state half-way round its cycle, found in one walk of the cycle.
+
+    Raises UnsupportedOrbitError if the state is transient or its cycle has
+    odd length.
+    """
     cells = int(np.asarray(state).shape[0])
     if cells > ca.EXHAUSTIVE_CELL_LIMIT:
         raise ValueError(
             f"orbit walks are limited to {ca.EXHAUSTIVE_CELL_LIMIT} cells "
             f"(exhaustive-scale check), got {cells}"
         )
-    start = ca.state_to_int(state)
-    seen = {start}
+    visited = {ca.state_to_int(state): None}  # codes, in the order visited
     current = np.asarray(state, dtype=np.uint8)
-    for length in range(1, (1 << cells) + 1):
+    while True:  # ends within 2^cells steps, since some code must repeat
         current = ca.step(current, rules, boundary)
         code = ca.state_to_int(current)
-        if code == start:
-            return length
-        if code in seen:
+        if code in visited:
             break
-        seen.add(code)
-    raise UnsupportedOrbitError(
-        f"state {ca.format_bits(state)} is not on a cycle of the global map"
-    )
+        visited[code] = None
+    orbit = list(visited)
+    if code != orbit[0]:
+        raise UnsupportedOrbitError(
+            f"state {ca.format_bits(state)} is not on a cycle of the global map"
+        )
+    p = len(orbit)
+    if p % 2 != 0:
+        raise UnsupportedOrbitError(
+            f"orbit length {p} is odd; the half-cycle cipher needs an even cycle"
+        )
+    return ca.int_to_state(orbit[p // 2], cells)
 
 
 def cycle_encipher(
     plaintext_state: np.ndarray, rules: Rule | Sequence[Rule], boundary: Boundary
 ) -> np.ndarray:
     """Advance the state halfway around its orbit (orbit length must be even)."""
-    p = _orbit_length(plaintext_state, rules, boundary)
-    if p % 2 != 0:
-        raise UnsupportedOrbitError(
-            f"orbit length {p} is odd; the half-cycle cipher needs an even cycle"
-        )
-    return ca.iterate(plaintext_state, rules, boundary, p // 2)
+    return _half_turn(plaintext_state, rules, boundary)
 
 
 def cycle_decipher(
     cipher_state: np.ndarray, rules: Rule | Sequence[Rule], boundary: Boundary
 ) -> np.ndarray:
-    """Complete the orbit begun by cycle_encipher, restoring the original state."""
-    p = _orbit_length(cipher_state, rules, boundary)
-    if p % 2 != 0:
-        raise UnsupportedOrbitError(
-            f"orbit length {p} is odd; the half-cycle cipher needs an even cycle"
-        )
-    return ca.iterate(cipher_state, rules, boundary, p - p // 2)
+    """Complete the orbit begun by cycle_encipher, restoring the original state.
+
+    On an even orbit of length p the remaining p - p//2 steps are again p//2,
+    so this is the same half turn.
+    """
+    return _half_turn(cipher_state, rules, boundary)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ca import MAX_RADIUS, Boundary, Rule, neighborhood_index
+from .ca import MAX_RADIUS, Boundary, Rule, step_many
 
 
 class SecondOrderState(NamedTuple):
@@ -42,8 +42,7 @@ def _checked(state: SecondOrderState) -> SecondOrderState:
 
 
 def _step_pair(prev: np.ndarray, curr: np.ndarray, rule: Rule, boundary: Boundary):
-    idx = neighborhood_index(curr, rule.radius, boundary)
-    new = rule.table[idx]  # fresh array, safe to update in place
+    new = step_many(curr, rule, boundary)  # fresh array, safe to update in place
     np.bitwise_xor(new, prev, out=new)
     np.bitwise_xor(new, 1, out=new)  # rule output XNOR previous state
     return curr, new

@@ -48,6 +48,37 @@ class TestKeygen:
         run(capsys, "keygen", "--out", str(b), "--seed", "ab12")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_key_over_a_world_readable_file_is_never_world_readable(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "k.key"
+        out.write_bytes(b"old")
+        out.chmod(0o644)
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(errno.EPERM, "chmod refused")
+
+        monkeypatch.setattr(os, "chmod", refuse)  # the key must not rely on a later chmod
+        assert run(capsys, "keygen", "--out", str(out))[0] == 0
+        monkeypatch.undo()
+        assert len(out.read_bytes()) == 32
+        assert (out.stat().st_mode & 0o777) == 0o600
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_key_through_a_pipe_keeps_the_pipe_mode(self, tmp_path, capsys):
+        fifo = tmp_path / "key.fifo"
+        os.mkfifo(fifo)
+        fifo.chmod(0o644)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, _, _ = run(capsys, "keygen", "--out", str(fifo))
+        reader.join(timeout=10)
+        assert code == 0
+        assert not reader.is_alive() and len(received[0]) == 32
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert (fifo.stat().st_mode & 0o777) == 0o644
+
 
 class TestEncryptDecrypt:
     @pytest.mark.parametrize("size", [0, 1, 100, 5000])
@@ -151,7 +182,7 @@ class TestEncryptDecrypt:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt", "keygen"])
     def test_failed_write_keeps_existing_output(self, tmp_path, capsys, monkeypatch, command):
         src, enc, out = tmp_path / "plain.bin", tmp_path / "data.rpca", tmp_path / "old.out"
         src.write_bytes(bytes(range(256)) * 4)
@@ -162,6 +193,8 @@ class TestEncryptDecrypt:
         before = sorted(p.name for p in tmp_path.iterdir())
         argv = [command, "--key", key, "--in", str(src if command == "encrypt" else enc),
                 "--out", str(out)]
+        if command == "keygen":
+            argv = [command, "--out", str(out)]
 
         class DiskFull:
             """Writes half of the data, then fails like a full disk."""

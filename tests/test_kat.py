@@ -129,7 +129,7 @@ def oracle_materials(key_raw: bytes, rounds: int) -> list:
     key = parse_key(key_raw)
     for i, expected in enumerate(materials):
         got = derive_round_material(key, i)
-        assert [got.m_sub, got.m_row, got.m_mix, got.m_key] == expected
+        assert [m.tobytes() for m in got] == expected
     return materials
 
 

@@ -129,6 +129,19 @@ class TestCycleCipher:
             assert np.array_equal(dec, cfg)
             assert not np.array_equal(enc, cfg)  # every orbit here has length 4
 
+    def test_round_trip_steps_each_orbit_once(self, monkeypatch):
+        calls, step = [], ca.step
+
+        def counting_step(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(ca, "step", counting_step)
+        cfg = ca.parse_bits("0000")
+        enc = cycle_encipher(cfg, LEGACY_VECTOR, Boundary.NULL)
+        assert np.array_equal(cycle_decipher(enc, LEGACY_VECTOR, Boundary.NULL), cfg)
+        assert len(calls) == 2 * 4  # one walk of the length-4 orbit per call
+
     def test_transient_state_rejected(self):
         rules = [ca.make_rule(1, n) for n in (204, 204, 240, 170)]
         with pytest.raises(UnsupportedOrbitError):
