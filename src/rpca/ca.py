@@ -25,28 +25,17 @@ class Boundary(str, Enum):
     CYCLIC = "cyclic"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Rule:
-    """A radius-r local rule as a 2^(2r+1)-entry lookup table."""
+    """A radius-r local rule as a 2^(2r+1)-entry lookup table, identified by (radius, number)."""
 
     radius: int
     number: int
-    table: np.ndarray = field(repr=False)  # uint8, read-only, len 2^(2r+1)
+    table: np.ndarray = field(compare=False, repr=False)  # uint8, read-only, len 2^(2r+1)
 
     @property
     def width(self) -> int:
         return 2 * self.radius + 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Rule):
-            return NotImplemented
-        return self.radius == other.radius and self.number == other.number
-
-    def __hash__(self) -> int:
-        return hash((self.radius, self.number))
-
-    def __repr__(self) -> str:
-        return f"Rule(radius={self.radius}, number={self.number})"
 
 
 def _check_radius(radius: int) -> None:
@@ -100,11 +89,7 @@ def apply_rule(rule: Rule, neighborhood: Sequence[int] | str) -> int:
 
 def complement_rule(rule: Rule) -> Rule:
     """The rule with every table entry flipped: number -> 2^(2^(2r+1)) - number - 1."""
-    entries = 1 << (2 * rule.radius + 1)
-    number = (1 << entries) - rule.number - 1
-    table = (1 - rule.table).astype(np.uint8)
-    table.setflags(write=False)
-    return Rule(radius=rule.radius, number=number, table=table)
+    return rule_from_table(rule.radius, 1 - rule.table)
 
 
 def _as_table_stack(rules: Rule | Sequence[Rule], cells: int) -> tuple[np.ndarray, int, bool]:
@@ -202,8 +187,9 @@ def _pack_states(states: np.ndarray) -> np.ndarray:
 
 
 def state_to_int(config: np.ndarray) -> int:
-    """Integer code of a configuration (cell 0 = most significant bit)."""
-    return int(_pack_states(np.asarray(config, dtype=np.uint8)))
+    """Integer code of a configuration (cell 0 = most significant bit), exact at any width."""
+    config = np.asarray(config, dtype=np.uint8)
+    return int.from_bytes(np.packbits(config).tobytes(), "big") >> (-config.size % 8)
 
 
 def int_to_state(code: int, cells: int) -> np.ndarray:
@@ -268,31 +254,28 @@ class CycleReport:
 def cycle_structure(
     rules: Rule | Sequence[Rule], boundary: Boundary, cells: int
 ) -> CycleReport:
-    """Partition all 2^cells states into cycles and transients."""
-    succ = global_map(rules, boundary, cells)
-    n_states = succ.size
-    # 0 = unvisited, 1 = on the path currently being walked, 2 = finished
-    color = np.zeros(n_states, dtype=np.uint8)
-    on_cycle = np.zeros(n_states, dtype=bool)
+    """Partition all 2^cells states into cycles and transients.
+
+    Cycles come in the order walks from ascending start codes close them, each
+    listed from the state where its walk entered it; transients ascend. The
+    walk reads no numpy element: successors come from a list, marks from a bytearray.
+    """
+    succ = global_map(rules, boundary, cells).tolist()
+    mark = bytearray(len(succ))  # 0 unvisited, 1 on this walk, 2 done, 3 on a cycle
     cycles: list[list[int]] = []
-    for start in range(n_states):
-        if color[start]:
-            continue
+    for start in range(len(succ)):
         path: list[int] = []
         v = start
-        while not color[v]:
-            color[v] = 1
+        while not mark[v]:
+            mark[v] = 1
             path.append(v)
-            v = int(succ[v])
-        if color[v] == 1:  # closed a new cycle within this walk
-            at = path.index(v)
-            cyc = path[at:]
-            cycles.append(cyc)
-            for u in cyc:
-                on_cycle[u] = True
-        for u in path:
-            color[u] = 2
-    transients = [s for s in range(n_states) if not on_cycle[s]]
+            v = succ[v]
+        at = path.index(v) if mark[v] == 1 else len(path)  # path[at:] is a new cycle
+        for i, u in enumerate(path):
+            mark[u] = 2 if i < at else 3
+        if at < len(path):
+            cycles.append(path[at:])
+    transients = [s for s, m in enumerate(mark) if m != 3]
     return CycleReport(cells=cells, cycles=cycles, transient_states=transients)
 
 

@@ -21,6 +21,7 @@ from .ca import Boundary
 from .cipher import (
     DEFAULT_CAF_STEPS,
     DEFAULT_ROUNDS,
+    KEY_BYTES,
     CipherError,
     CipherParams,
     KeyFormatError,
@@ -61,9 +62,11 @@ def load_key(value: str) -> SecretKey:
     """Accept a path to a 32-byte key file or a 64-hex-character string."""
     path = Path(value)
     if path.exists():
-        data = path.read_bytes()
-        if len(data) != 32:
-            raise KeyFormatError(f"key file {path} must hold exactly 32 bytes, found {len(data)}")
+        with path.open("rb") as f:
+            data = f.read(KEY_BYTES + 1)  # bounded: a device or pipe may never end
+        if len(data) != KEY_BYTES:
+            found = "more" if len(data) > KEY_BYTES else len(data)
+            raise KeyFormatError(f"key file {path} must hold exactly 32 bytes, found {found}")
         return parse_key(data)
     stripped = value.strip()
     if len(stripped) == 64:
@@ -79,9 +82,10 @@ def _write_atomic(path: Path, data: bytes, mode: int = 0o666) -> None:
 
     The temp file is created with `mode` (less the umask), so the data never
     sits in a file with wider permissions. A failed write leaves any existing
-    file at `path` as it was, and removes the temp file. A device or pipe
-    (e.g. /dev/stdout) cannot be replaced, so it is written directly and its
-    mode is left alone.
+    file at `path` as it was, and removes the temp file. The data is fsynced
+    before the rename, so after a crash `path` holds the old file or the whole
+    new one, never an empty one. A device or pipe (e.g. /dev/stdout) cannot be
+    replaced, so it is written directly and its mode is left alone.
     """
     if path.exists() and not path.is_file():
         path.write_bytes(data)
@@ -90,6 +94,8 @@ def _write_atomic(path: Path, data: bytes, mode: int = 0o666) -> None:
     try:
         with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode), "wb") as f:
             f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -96,10 +96,10 @@ def pca_step(
 ) -> np.ndarray:
     """One step under the rule vector induced by the control signals."""
     config = np.asarray(config, dtype=np.uint8)
-    sig = controls.at(0) if isinstance(controls, ControlProgram) else np.asarray(controls)
-    if sig.shape[:1] != config.shape[:1]:
-        raise ValueError(f"controls width {sig.shape[0]} != cell count {config.shape[0]}")
-    return ca.step(config, induced_rule_vector(sig, table), boundary)
+    rules = induced_rule_vector(controls, table)
+    if len(rules) != config.shape[0]:
+        raise ValueError(f"controls width {len(rules)} != cell count {config.shape[0]}")
+    return ca.step(config, rules, boundary)
 
 
 def pca_run(
@@ -130,16 +130,16 @@ def _half_turn(state: np.ndarray, rules: Rule | Sequence[Rule], boundary: Bounda
             f"orbit walks are limited to {ca.EXHAUSTIVE_CELL_LIMIT} cells "
             f"(exhaustive-scale check), got {cells}"
         )
-    visited = {ca.state_to_int(state): None}  # codes, in the order visited
     current = np.asarray(state, dtype=np.uint8)
-    while True:  # ends within 2^cells steps, since some code must repeat
+    visited = {current.tobytes(): current}  # states by their bytes, in the order visited
+    while True:  # ends within 2^cells steps, since some state must repeat
         current = ca.step(current, rules, boundary)
-        code = ca.state_to_int(current)
-        if code in visited:
+        key = current.tobytes()
+        if key in visited:
             break
-        visited[code] = None
-    orbit = list(visited)
-    if code != orbit[0]:
+        visited[key] = current
+    orbit = list(visited.values())
+    if key != orbit[0].tobytes():
         raise UnsupportedOrbitError(
             f"state {ca.format_bits(state)} is not on a cycle of the global map"
         )
@@ -148,7 +148,7 @@ def _half_turn(state: np.ndarray, rules: Rule | Sequence[Rule], boundary: Bounda
         raise UnsupportedOrbitError(
             f"orbit length {p} is odd; the half-cycle cipher needs an even cycle"
         )
-    return ca.int_to_state(orbit[p // 2], cells)
+    return orbit[p // 2]
 
 
 def cycle_encipher(

@@ -33,36 +33,25 @@ class SecondOrderState(NamedTuple):
     curr: np.ndarray
 
 
-def _checked(state: SecondOrderState) -> SecondOrderState:
-    prev = np.asarray(state.prev, dtype=np.uint8)
-    curr = np.asarray(state.curr, dtype=np.uint8)
-    if prev.shape != curr.shape:
-        raise ValueError(f"prev/curr shapes differ: {prev.shape} vs {curr.shape}")
-    return SecondOrderState(prev, curr)
-
-
-def _step_pair(prev: np.ndarray, curr: np.ndarray, rule: Rule, boundary: Boundary):
-    new = step_many(curr, rule, boundary)  # fresh array, safe to update in place
-    np.bitwise_xor(new, prev, out=new)
-    np.bitwise_xor(new, 1, out=new)  # rule output XNOR previous state
-    return curr, new
-
-
 def so_step(state: SecondOrderState, rule: Rule, boundary: Boundary) -> SecondOrderState:
     """One second-order update; supports batches along leading axes."""
-    prev, curr = _checked(state)
-    return SecondOrderState(*_step_pair(prev, curr, rule, boundary))
+    return so_iterate_forward(state, rule, boundary, 1)
 
 
 def so_iterate_forward(
     state: SecondOrderState, rule: Rule, boundary: Boundary, steps: int
 ) -> SecondOrderState:
-    """Apply so_step `steps` times (steps >= 1)."""
+    """Apply `steps` second-order updates (steps >= 1)."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    prev, curr = _checked(state)
+    prev, curr = (np.asarray(half, dtype=np.uint8) for half in state)
+    if prev.shape != curr.shape:
+        raise ValueError(f"prev/curr shapes differ: {prev.shape} vs {curr.shape}")
     for _ in range(steps):
-        prev, curr = _step_pair(prev, curr, rule, boundary)
+        new = step_many(curr, rule, boundary)  # fresh array, safe to update in place
+        np.bitwise_xor(new, prev, out=new)
+        np.bitwise_xor(new, 1, out=new)  # rule output XNOR previous state
+        prev, curr = curr, new
     return SecondOrderState(prev, curr)
 
 

@@ -82,6 +82,25 @@ class TestRuleFromTable:
             ca.rule_from_table(radius, [0] * (1 << (2 * radius + 1)))
 
 
+class TestRuleIdentity:
+    def test_same_rule_by_number_and_by_table(self):
+        by_number = ca.make_rule(1, 30)
+        by_table = ca.rule_from_table(1, by_number.table.copy())
+        assert by_number == by_table
+        assert hash(by_number) == hash(by_table)
+        assert len({by_number, by_table}) == 1
+
+    def test_repr_omits_the_table(self):
+        assert repr(ca.make_rule(1, 30)) == "Rule(radius=1, number=30)"
+
+    def test_not_equal_to_its_number(self):
+        assert ca.make_rule(1, 30) != 30
+
+    def test_radius_and_number_both_count(self):
+        assert ca.make_rule(1, 30) != ca.make_rule(2, 30)
+        assert ca.make_rule(1, 30) != ca.make_rule(1, 31)
+
+
 class TestApplyRule:
     def test_examples(self):
         assert ca.apply_rule(ca.make_rule(1, 51), "101") == 1
@@ -311,6 +330,45 @@ class TestCycleStructure:
         with pytest.raises(ValueError):
             ca.cycle_structure(ca.make_rule(1, 30), Boundary.CYCLIC, 24)
 
+    @pytest.mark.parametrize("boundary", ["null", "cyclic"])
+    @pytest.mark.parametrize("cells", range(4, 11))
+    @pytest.mark.parametrize("numbers", [(30,), (51, 51, 195, 153), (204, 204, 240, 170)])
+    def test_whole_report_matches_a_naive_walk(self, numbers, cells, boundary):
+        numbers = numbers if len(numbers) == 1 else (numbers * cells)[:cells]
+        report = ca.cycle_structure(vector(*numbers), Boundary(boundary), cells)
+        cycles, transients = naive_cycle_report(numbers, cells, boundary)
+        assert report.cells == cells
+        assert report.cycles == cycles
+        assert report.transient_states == transients
+
+
+def naive_cycle_report(numbers, cells, boundary):
+    """Cycles in order of the first start whose orbit reaches them, each listed
+    from the state where that orbit enters it; then every other state, ascending."""
+    def succ(code):
+        cfg = [(code >> (cells - 1 - i)) & 1 for i in range(cells)]
+        out = 0
+        for bit in naive_step(cfg, list(numbers), 1, boundary):
+            out = (out << 1) | bit
+        return out
+
+    nxt = [succ(code) for code in range(1 << cells)]
+    on_cycle = set(range(1 << cells))
+    while {nxt[s] for s in on_cycle} != on_cycle:  # shrink to the eventual image
+        on_cycle = {nxt[s] for s in on_cycle}
+    cycles, listed = [], set()
+    for code in range(1 << cells):
+        v = code
+        while v not in on_cycle:
+            v = nxt[v]
+        if v not in listed:
+            cycle = [v]
+            while nxt[cycle[-1]] != v:
+                cycle.append(nxt[cycle[-1]])
+            cycles.append(cycle)
+            listed.update(cycle)
+    return cycles, [code for code in range(1 << cells) if code not in on_cycle]
+
 
 class TestTextHelpers:
     def test_bits_round_trip(self):
@@ -327,6 +385,13 @@ class TestTextHelpers:
         assert ca.state_to_int(cfg) == 0b1011
         assert np.array_equal(ca.int_to_state(0b1011, 4), cfg)
         assert ca.format_state_int(3, 5) == "00011"
+
+    @pytest.mark.parametrize("cells", [63, 64, 65, 128])
+    def test_state_int_round_trip_at_any_width(self, cells):
+        for code in (0, 1, 1 << (cells - 1), (1 << cells) - 1):
+            cfg = ca.int_to_state(code, cells)
+            assert ca.state_to_int(cfg) == code
+            assert np.array_equal(ca.int_to_state(ca.state_to_int(cfg), cells), cfg)
 
     def test_parse_rule_vector(self):
         rules = ca.parse_rule_vector("51,51,195,153")

@@ -2,6 +2,7 @@ import errno
 import os
 import stat
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +241,32 @@ class TestEncryptDecrypt:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert not reader.is_alive() and len(received[0]) == 18 + 32
 
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt", "keygen"])
+    def test_output_is_synced_before_the_rename(self, tmp_path, capsys, monkeypatch, command):
+        src, enc, out = tmp_path / "plain.bin", tmp_path / "data.rpca", tmp_path / "out"
+        src.write_bytes(b"synced first")
+        key = "00" * 32
+        assert run(capsys, "encrypt", "--key", key, "--in", str(src), "--out", str(enc),
+                   "--rounds", "1", "--steps", "2")[0] == 0
+        argv = {"encrypt": ["--key", key, "--in", str(src)],
+                "decrypt": ["--key", key, "--in", str(enc)], "keygen": []}[command]
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        def replace(a, b):
+            calls.append(("replace", Path(b).name))
+            real_replace(a, b)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        assert run(capsys, command, *argv, "--out", str(out))[0] == 0
+        assert calls == [("fsync", out.stat().st_size), ("replace", "out")]
+        assert out.stat().st_size > 0
+
     def test_out_of_range_rounds_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "p"
         src.write_bytes(b"x")
@@ -312,6 +339,19 @@ class TestCycles:
             assert len(line.split("->")) == 4
         states = [s for line in lines for s in line.split("->")]
         assert len(set(states)) == 16
+
+    def test_legacy_vector_stdout_is_byte_exact(self, capsys):
+        code, out, _ = run(
+            capsys, "cycles", "--rule-vector", "51,51,195,153", "--cells", "4",
+            "--boundary", "null",
+        )
+        assert code == 0
+        assert out == (
+            "0000->1111->0010->1101\n"
+            "0001->1110->0011->1100\n"
+            "0100->1001->0110->1011\n"
+            "0101->1000->0111->1010\n"
+        )
 
     def test_transients_are_reported(self, capsys):
         code, out, _ = run(
@@ -394,6 +434,31 @@ class TestLoadKey:
     def test_rejects_garbage(self):
         with pytest.raises(KeyFormatError):
             load_key("not-a-key")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_endless_key_file_is_rejected_without_reading_to_the_end(self, tmp_path):
+        fifo = tmp_path / "key.fifo"
+        os.mkfifo(fifo)
+        release = threading.Event()
+
+        def writer():
+            fd = os.open(fifo, os.O_WRONLY)
+            try:
+                os.write(fd, bytes(40))
+                release.wait(5)  # holds the pipe open, as an endless source would
+            finally:
+                os.close(fd)
+
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(KeyFormatError, match="exactly 32 bytes"):
+                load_key(str(fifo))
+            assert thread.is_alive(), "load_key waited for the writer to close the pipe"
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
     def test_accepts_hex_with_whitespace(self):
         key = load_key("  " + "ab" * 32 + "\n")

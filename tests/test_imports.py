@@ -1,15 +1,18 @@
-"""Every name a module in src/ or tests/ imports must be used in that module.
+"""Every name a module in src/ or tests/ imports must be used in that module,
+and every private module-level name in src/rpca must be read somewhere in src/.
 
-The check reads source with the standard library's `ast` only: an imported
+The checks read source with the standard library's `ast` only: an imported
 name counts as used when it appears as a name anywhere in the module (an
 attribute chain counts through its first name) or is listed in `__all__`.
-`from __future__` imports are exempt.
+`from __future__` imports are exempt. A private name (`_x`, not a dunder)
+counts as read when it is loaded as a name or as an attribute.
 """
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+PACKAGE = sorted((ROOT / "src").rglob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").rglob("*.py")])
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -32,6 +35,29 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def private_definitions(source: str) -> list[tuple[int, str]]:
+    """Module-level private functions, classes and assigned names, with their lines."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def names_read(source: str) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
 def test_finds_an_unused_import():
     source = "import os\nimport sys as system\nfrom a.b import c, d\nprint(d, system.argv)\n"
     assert unused_imports(source) == [(1, "os"), (3, "c")]
@@ -47,3 +73,23 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_finds_a_dead_private_helper():
+    source = "_A = 1\n_B: int = 2\n__all__ = []\ndef _f(): return _A\nclass _C: pass\nx = m._C\n"
+    defined = private_definitions(source)
+    assert defined == [(1, "_A"), (2, "_B"), (4, "_f"), (5, "_C")]
+    read = names_read(source)
+    assert [name for _, name in defined if name not in read] == ["_B", "_f"]
+
+
+def test_no_dead_private_helpers():
+    assert len(PACKAGE) > 5
+    read = set().union(*(names_read(path.read_text()) for path in PACKAGE))
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in PACKAGE
+        for line, name in private_definitions(path.read_text())
+        if name not in read
+    ]
+    assert not found, "private names nothing in src/ reads:\n" + "\n".join(found)
