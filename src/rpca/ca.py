@@ -16,6 +16,7 @@ import numpy as np
 
 MAX_RADIUS = 3
 EXHAUSTIVE_CELL_LIMIT = 20
+_CODE_BLOCK = 1 << 16  # codes global_map steps at once: 13 MiB traced at 20 cells
 
 
 class Boundary(str, Enum):
@@ -105,7 +106,9 @@ def _as_table_stack(rules: Rule | Sequence[Rule], cells: int) -> tuple[np.ndarra
     if len(vec) == 1:
         return vec[0].table, radius, True
     if len(vec) != cells:
-        raise ValueError(f"rule vector length {len(vec)} != cell count {cells}")
+        raise ValueError(
+            f"rule vector has {len(vec)} entries; need 1 or {cells} for {cells} cells"
+        )
     return np.stack([r.table for r in vec]), radius, False
 
 
@@ -170,22 +173,6 @@ def iterate(
 
 # --- exhaustive state-space analysis -------------------------------------
 
-def _all_states(cells: int) -> np.ndarray:
-    """All 2^cells configurations as a (2^cells, cells) uint8 matrix.
-
-    Row s is the configuration whose integer code is s, cell 0 at the MSB.
-    """
-    codes = np.arange(1 << cells, dtype=np.int64)
-    shifts = np.arange(cells - 1, -1, -1, dtype=np.int64)
-    return ((codes[:, None] >> shifts) & 1).astype(np.uint8)
-
-
-def _pack_states(states: np.ndarray) -> np.ndarray:
-    cells = states.shape[-1]
-    weights = (1 << np.arange(cells - 1, -1, -1, dtype=np.int64))
-    return states.astype(np.int64) @ weights
-
-
 def state_to_int(config: np.ndarray) -> int:
     """Integer code of a configuration (cell 0 = most significant bit), exact at any width."""
     config = np.asarray(config, dtype=np.uint8)
@@ -193,12 +180,18 @@ def state_to_int(config: np.ndarray) -> int:
 
 
 def int_to_state(code: int, cells: int) -> np.ndarray:
-    """Inverse of state_to_int."""
-    return np.array([(code >> (cells - 1 - i)) & 1 for i in range(cells)], dtype=np.uint8)
+    """Inverse of state_to_int; the code must lie in 0..2^cells - 1."""
+    if not 0 <= code < 1 << cells:
+        raise ValueError(f"state code {code} is out of range for {cells} cells")
+    return np.unpackbits(np.frombuffer(code.to_bytes(-(-cells // 8), "big"), np.uint8))[-cells:]
 
 
 def global_map(rules: Rule | Sequence[Rule], boundary: Boundary, cells: int) -> np.ndarray:
-    """Successor code of every configuration code; brute force, cells bounded."""
+    """Successor code of every configuration code; brute force, cells bounded.
+
+    Each block of codes is unpacked as big-endian uint32 into 32 bit columns.
+    The last `cells` are stepped; the rest stay 0, as every code is below 2^cells.
+    """
     if cells > EXHAUSTIVE_CELL_LIMIT:
         raise ValueError(
             f"refusing exhaustive enumeration over 2^{cells} states "
@@ -206,8 +199,14 @@ def global_map(rules: Rule | Sequence[Rule], boundary: Boundary, cells: int) -> 
         )
     if cells < 1:
         raise ValueError("cells must be >= 1")
-    nxt = step_many(_all_states(cells), rules, boundary)
-    return _pack_states(nxt)
+    succ = np.empty(1 << cells, dtype=np.int64)
+    for lo in range(0, succ.size, _CODE_BLOCK):
+        codes = np.arange(lo, min(lo + _CODE_BLOCK, succ.size), dtype=">u4")
+        bits = np.unpackbits(codes.view(np.uint8)).reshape(-1, 32)
+        configs = bits[:, 32 - cells :]
+        configs[...] = step_many(configs, rules, boundary)
+        succ[lo : lo + codes.size] = np.packbits(bits).view(">u4")
+    return succ
 
 
 def is_reversible_global(

@@ -159,10 +159,6 @@ def _cmd_rules(args) -> int:
 
 def _cmd_cycles(args) -> int:
     rules = ca.parse_rule_vector(args.rule_vector)
-    if len(rules) not in (1, args.cells):
-        raise ValueError(
-            f"rule vector has {len(rules)} entries; need 1 or {args.cells} for {args.cells} cells"
-        )
     report = ca.cycle_structure(rules, Boundary(args.boundary), args.cells)
     for cycle in report.cycles:
         print("->".join(ca.format_state_int(s, args.cells) for s in cycle))

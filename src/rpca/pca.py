@@ -96,6 +96,8 @@ def pca_step(
 ) -> np.ndarray:
     """One step under the rule vector induced by the control signals."""
     config = np.asarray(config, dtype=np.uint8)
+    if config.ndim != 1:
+        raise ValueError(f"configuration must be a 1-D cell array, got shape {config.shape}")
     rules = induced_rule_vector(controls, table)
     if len(rules) != config.shape[0]:
         raise ValueError(f"controls width {len(rules)} != cell count {config.shape[0]}")
@@ -124,13 +126,15 @@ def _half_turn(state: np.ndarray, rules: Rule | Sequence[Rule], boundary: Bounda
     Raises UnsupportedOrbitError if the state is transient or its cycle has
     odd length.
     """
-    cells = int(np.asarray(state).shape[0])
+    current = np.asarray(state, dtype=np.uint8)
+    if current.ndim != 1:
+        raise ValueError(f"state must be a 1-D cell array, got shape {current.shape}")
+    cells = current.shape[0]
     if cells > ca.EXHAUSTIVE_CELL_LIMIT:
         raise ValueError(
             f"orbit walks are limited to {ca.EXHAUSTIVE_CELL_LIMIT} cells "
             f"(exhaustive-scale check), got {cells}"
         )
-    current = np.asarray(state, dtype=np.uint8)
     visited = {current.tobytes(): current}  # states by their bytes, in the order visited
     while True:  # ends within 2^cells steps, since some state must repeat
         current = ca.step(current, rules, boundary)

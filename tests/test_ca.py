@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,6 +293,66 @@ class TestReversibility:
             ca.enumerate_reversible_elementary(1, [17])
 
 
+# (radius, rule numbers): uniform rules of radius 1, 2 and 3, and a per-cell
+# vector whose numbers repeat across the cells
+GLOBAL_MAP_RULES = [
+    (1, (30,)),
+    (2, (0x6E1D3A95,)),
+    (3, (0x9E3779B97F4A7C15F39CC0605CEDC834,)),
+    (1, (51, 195, 153, 30, 90, 150, 204)),
+]
+
+
+def naive_successor(code, cells, numbers, radius, boundary):
+    cfg = [(code >> (cells - 1 - i)) & 1 for i in range(cells)]
+    out = 0
+    for bit in naive_step(cfg, numbers, radius, boundary):
+        out = (out << 1) | bit
+    return out
+
+
+def numbers_for(numbers, cells):
+    return numbers if len(numbers) == 1 else (numbers * cells)[:cells]
+
+
+class TestGlobalMap:
+    @pytest.mark.parametrize("boundary", ["null", "cyclic"])
+    @pytest.mark.parametrize("radius,numbers", GLOBAL_MAP_RULES, ids=["30", "r2", "r3", "vector"])
+    def test_matches_naive_step_on_every_state(self, monkeypatch, radius, numbers, boundary):
+        monkeypatch.setattr(ca, "_CODE_BLOCK", 7)  # blocks end mid-range
+        for cells in range(1, 13):
+            nums = numbers_for(numbers, cells)
+            succ = ca.global_map(vector(*nums, radius=radius), Boundary(boundary), cells)
+            assert succ.dtype == np.int64
+            assert succ.tolist() == [
+                naive_successor(code, cells, nums, radius, boundary)
+                for code in range(1 << cells)
+            ]
+
+    @pytest.mark.parametrize("radius,numbers,boundary", [
+        (1, (30,), "cyclic"),
+        (3, (0x9E3779B97F4A7C15F39CC0605CEDC834,), "null"),
+        (1, (51, 51, 195, 153), "null"),
+    ], ids=["30", "r3", "vector"])
+    def test_twenty_cells_on_a_sample(self, radius, numbers, boundary):
+        nums = numbers_for(numbers, 20)
+        succ = ca.global_map(vector(*nums, radius=radius), Boundary(boundary), 20)
+        assert succ.dtype == np.int64 and succ.shape == (1 << 20,)
+        rng = np.random.default_rng(20)
+        codes = [0, 65535, 65536, (1 << 20) - 1, *rng.integers(0, 1 << 20, 60).tolist()]
+        for code in codes:
+            assert succ[code] == naive_successor(code, 20, nums, radius, boundary)
+
+    def test_twenty_cells_trace_little_memory(self):
+        tracemalloc.start()
+        try:
+            ca.global_map(ca.make_rule(1, 30), Boundary.CYCLIC, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20  # the answer alone is 8 MiB
+
+
 class TestCycleStructure:
     def test_legacy_vector_four_cycles_of_four(self):
         report = ca.cycle_structure(vector(51, 51, 195, 153), Boundary.NULL, 4)
@@ -334,7 +396,7 @@ class TestCycleStructure:
     @pytest.mark.parametrize("cells", range(4, 11))
     @pytest.mark.parametrize("numbers", [(30,), (51, 51, 195, 153), (204, 204, 240, 170)])
     def test_whole_report_matches_a_naive_walk(self, numbers, cells, boundary):
-        numbers = numbers if len(numbers) == 1 else (numbers * cells)[:cells]
+        numbers = numbers_for(numbers, cells)
         report = ca.cycle_structure(vector(*numbers), Boundary(boundary), cells)
         cycles, transients = naive_cycle_report(numbers, cells, boundary)
         assert report.cells == cells
@@ -345,14 +407,7 @@ class TestCycleStructure:
 def naive_cycle_report(numbers, cells, boundary):
     """Cycles in order of the first start whose orbit reaches them, each listed
     from the state where that orbit enters it; then every other state, ascending."""
-    def succ(code):
-        cfg = [(code >> (cells - 1 - i)) & 1 for i in range(cells)]
-        out = 0
-        for bit in naive_step(cfg, list(numbers), 1, boundary):
-            out = (out << 1) | bit
-        return out
-
-    nxt = [succ(code) for code in range(1 << cells)]
+    nxt = [naive_successor(code, cells, list(numbers), 1, boundary) for code in range(1 << cells)]
     on_cycle = set(range(1 << cells))
     while {nxt[s] for s in on_cycle} != on_cycle:  # shrink to the eventual image
         on_cycle = {nxt[s] for s in on_cycle}
@@ -386,12 +441,18 @@ class TestTextHelpers:
         assert np.array_equal(ca.int_to_state(0b1011, 4), cfg)
         assert ca.format_state_int(3, 5) == "00011"
 
-    @pytest.mark.parametrize("cells", [63, 64, 65, 128])
+    @pytest.mark.parametrize("cells", [1, 8, 63, 64, 65, 128])
     def test_state_int_round_trip_at_any_width(self, cells):
         for code in (0, 1, 1 << (cells - 1), (1 << cells) - 1):
             cfg = ca.int_to_state(code, cells)
             assert ca.state_to_int(cfg) == code
             assert np.array_equal(ca.int_to_state(ca.state_to_int(cfg), cells), cfg)
+
+    @pytest.mark.parametrize("code,cells", [(16, 4), (-1, 4), (2, 1), (1 << 128, 128)],
+                             ids=["above", "negative", "one-cell", "wide"])
+    def test_int_to_state_rejects_codes_out_of_range(self, code, cells):
+        with pytest.raises(ValueError, match="out of range"):
+            ca.int_to_state(code, cells)
 
     def test_parse_rule_vector(self):
         rules = ca.parse_rule_vector("51,51,195,153")

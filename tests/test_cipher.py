@@ -37,6 +37,7 @@ from rpca.cipher import (
 from rpca.second_order import SecondOrderState, so_iterate_backward, so_iterate_forward
 
 from helpers import (
+    bits_of_bytes,
     naive_add_round_key,
     naive_byte_sub,
     naive_column_mix,
@@ -367,6 +368,36 @@ class TestStageOracles:
             state = rand_block(rng)
             materials = [rand_block(rng) for _ in range(4)]
             assert naive_round(naive_round(state, materials), materials, inverse=True) == state
+
+    @pytest.mark.parametrize("rounds", [1, 10, 64])
+    def test_rounds_are_one_affine_map_over_gf2(self, rounds):
+        """For a fixed key and round count the rounds are x -> Ax ^ c on the 128 block bits.
+
+        A and c come from the oracle alone, on the zero block and the 128 unit
+        blocks, under a random key. `_rounds` is then checked on a megabyte of
+        random blocks: forward against Ax ^ c, inverse as undoing it. The float32
+        matmul is exact, as its entries are sums of at most 128 ones.
+        """
+        rng = np.random.default_rng(rounds)
+        raw = rng.bytes(32)
+        schedule = [naive_round_materials(raw, i) for i in range(rounds)]
+
+        def oracle_bits(block):
+            for materials in schedule:
+                block = naive_round(block, materials)
+            return np.array(bits_of_bytes(block), dtype=np.uint8)
+
+        c = oracle_bits(bytes(16))
+        units = [(1 << (127 - j)).to_bytes(16, "big") for j in range(128)]
+        a = np.stack([oracle_bits(u) ^ c for u in units], axis=1).astype(np.float32)
+
+        blocks = rng.integers(0, 256, (16, 62_501), dtype=np.uint8)
+        materials = cipher._round_materials(raw)[:rounds]
+        forward = cipher._rounds(blocks, materials, inverse=False)
+        x = np.unpackbits(blocks.T, axis=1).astype(np.float32)
+        expected = (x @ a.T).astype(np.uint8) & 1 ^ c
+        assert np.array_equal(np.unpackbits(forward.T, axis=1), expected)
+        assert np.array_equal(cipher._rounds(forward, materials, inverse=True), blocks)
 
 
 class TestCafCore:

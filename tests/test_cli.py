@@ -374,6 +374,16 @@ class TestCycles:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("cells", ["4", "20"])
+    def test_vector_length_mismatch_names_both_counts(self, capsys, cells):
+        code, out, err = run(
+            capsys, "cycles", "--rule-vector", "51,195,153", "--cells", cells,
+            "--boundary", "cyclic",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"rule vector has 3 entries; need 1 or {cells} for {cells} cells" in err
+
 
 class TestAvalancheCommand:
     def test_reports_fields(self, capsys):

@@ -1,5 +1,7 @@
 """Every name a module in src/ or tests/ imports must be used in that module,
-and every private module-level name in src/rpca must be read somewhere in src/.
+every private module-level name in src/rpca must be read somewhere in src/, and
+every top-level function in tests/helpers.py must be read by a test module, by
+perfbench/ or by another helper.
 
 The checks read source with the standard library's `ast` only: an imported
 name counts as used when it appears as a name anywhere in the module (an
@@ -13,6 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src").rglob("*.py"))
 SOURCES = sorted([*PACKAGE, *(ROOT / "tests").rglob("*.py")])
+HELPERS = ROOT / "tests" / "helpers.py"
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -93,3 +96,28 @@ def test_no_dead_private_helpers():
         if name not in read
     ]
     assert not found, "private names nothing in src/ reads:\n" + "\n".join(found)
+
+
+def unread_functions(source: str, read_elsewhere: set[str]) -> list[tuple[int, str]]:
+    """Top-level functions that neither `read_elsewhere` nor another top-level function reads."""
+    functions = [node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)]
+    return [
+        (f.lineno, f.name)
+        for f in functions
+        if f.name not in read_elsewhere.union(
+            *(names_read(ast.unparse(g)) for g in functions if g is not f)
+        )
+    ]
+
+
+def test_finds_an_unread_oracle():
+    source = "def a(): return b()\ndef b(): return 1\ndef c(): return c()\ndef d(): pass\n"
+    assert unread_functions(source, {"d"}) == [(1, "a"), (3, "c")]
+
+
+def test_every_oracle_is_read():
+    readers = [*(ROOT / "tests").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    read = set().union(*(names_read(path.read_text()) for path in readers if path != HELPERS))
+    found = [f"tests/helpers.py:{line}: {name}"
+             for line, name in unread_functions(HELPERS.read_text(), read)]
+    assert not found, "oracles nothing compares against:\n" + "\n".join(found)

@@ -66,6 +66,10 @@ class TestPcaStep:
         with pytest.raises(ValueError):
             pca_step(ca.parse_bits("101"), CONTROLS_51_51_195_153, TABLE_51_195_153, Boundary.NULL)
 
+    def test_zero_dimensional_state_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(\)"):
+            pca_step(np.uint8(1), CONTROLS_51_51_195_153[:1], TABLE_51_195_153, Boundary.NULL)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 16), st.sampled_from([Boundary.NULL, Boundary.CYCLIC]),
            st.randoms(use_true_random=False))
@@ -163,3 +167,8 @@ class TestCycleCipher:
     def test_oversized_configuration_refused(self):
         with pytest.raises(ValueError, match="20"):
             cycle_encipher(np.zeros(24, np.uint8), LEGACY_VECTOR[:1], Boundary.CYCLIC)
+
+    @pytest.mark.parametrize("walk", [cycle_encipher, cycle_decipher])
+    def test_zero_dimensional_state_rejected(self, walk):
+        with pytest.raises(ValueError, match=r"shape \(\)"):
+            walk(np.uint8(1), LEGACY_VECTOR[:1], Boundary.CYCLIC)
