@@ -22,8 +22,10 @@ transform is a few whole-row operations on them, and the core steps the same
 rows, one gather per step from the key's window table (packed_rule_table,
 16 KiB at radius 3, the last 16 cached). Key setup runs the material
 automata on that kernel over (64, 8) packed rows, one per round, two steps a
-call, and keeps a key's material for every round as one read-only
-(64, 4, 16) array; derive_round_material returns one round's (4, 16) row.
+call. A key's schedule, the last 256 cached, is one read-only (64, 12, 16)
+array: each round's four material rows (derive_round_material returns them)
+and the constants they select, so a round is data operations only, two
+gathers and in-place arithmetic on one working copy and one scratch array.
 
 All operations here are pure given an explicit rid; batch variants process
 a whole stream of blocks as one numpy matrix. A stream's records are one
@@ -187,37 +189,45 @@ def _segment_history(segment: bytes) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _round_materials(raw_key: bytes) -> np.ndarray:
-    """Every round's material: a read-only (MAX_ROUNDS, 4, 16) uint8 array.
+    """The key's schedule: a read-only (MAX_ROUNDS, 12, 16) uint8 array.
 
-    Axis 1 holds m_sub, m_row, m_mix and m_key; each 16-byte row is a CAL
-    configuration joined to a CAR one.
+    Rows 0-3 of round i are its material m_sub, m_row, m_mix and m_key, each
+    a CAL configuration joined to a CAR one; rows 4-11 come from _schedule.
     """
     key = SecretKey(raw_key)
-    materials = np.concatenate(
+    schedule = _schedule(np.concatenate(
         [_segment_history(key.cal_segment), _segment_history(key.car_segment)], axis=2
-    )
-    materials.flags.writeable = False
-    return materials
+    ))
+    schedule.flags.writeable = False
+    return schedule
+
+
+def _round_schedule(key: SecretKey, round_index: int) -> np.ndarray:
+    """Round `round_index` of the key's schedule, as a (1, 12, 16) slice."""
+    if not 0 <= round_index < MAX_ROUNDS:
+        raise ValueError(f"round_index must be in 0..{MAX_ROUNDS - 1}, got {round_index}")
+    return _round_materials(key.raw)[round_index : round_index + 1]
 
 
 def derive_round_material(key: SecretKey, round_index: int) -> np.ndarray:
     """Material for one round; a pure function of (key, round_index).
 
-    A read-only (4, 16) uint8 view of _round_materials whose rows are m_sub,
-    m_row, m_mix and m_key.
+    A read-only (4, 16) uint8 view of the key's schedule whose rows are
+    m_sub, m_row, m_mix and m_key.
     """
-    if not 0 <= round_index < MAX_ROUNDS:
-        raise ValueError(f"round_index must be in 0..{MAX_ROUNDS - 1}, got {round_index}")
-    return _round_materials(key.raw)[round_index]
+    return _round_schedule(key, round_index)[0, :4]
 
 
 # --- the four round transforms ----------------------------------------------
 #
-# Internal versions take (16, n) byte-position rows; the single-block API
-# runs them on a (16, 1) column.
+# They run in place on (16, n) byte-position rows; the single-block API and
+# the stage functions run them on a (16, 1) column. Every constant they use
+# is chosen by one material byte and read from a table built here once. A
+# gather is np.take into a preallocated array with mode="clip", which the
+# indices (0..15) never reach: the default "raise" would buffer the output.
 
 _ROWS, _COLS = np.divmod(np.arange(BLOCK_BYTES), 4)  # grid position of each byte
-_XOR_NETWORK = ((0, 1), (2, 3), (1, 0), (3, 2))  # grid row a ^= grid row b, in order
+_BYTES = np.arange(256)
 
 
 def _parse_direction(direction: str) -> bool:
@@ -228,88 +238,124 @@ def _parse_direction(direction: str) -> bool:
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
-def _byte_sub(y: np.ndarray, material: np.ndarray, inverse: bool) -> np.ndarray:
-    """Rotate row j left by the low 3 bits of material byte j+1, then XOR material byte j.
+# Byte sub rotates left by a material byte's low 3 bits (inverse: right).
+# A right rotation by s is y // 2^s | y * 2^(8 - s) in uint8, the multiplier
+# 256 wrapping to 0 as y << 8 should: numpy vectorises uint8 division and
+# multiplication but not uint8 shifts, which took three times as long on
+# (16, 62501) rows. (256, 2, 2): forward and inverse (divisor, multiplier).
+_RIGHT_SHIFTS = np.stack([-_BYTES & 7, _BYTES & 7], axis=1)[:, :, None]
+_ROTATIONS = np.concatenate([1 << _RIGHT_SHIFTS, 256 >> _RIGHT_SHIFTS], axis=2).astype(np.uint8)
+# (256, 2, 16): forward and inverse source rows. A material byte's 2-bit
+# fields, MSB first, rotate grid row r left by field r (row shift) and grid
+# column c down by field c (column rotation).
+_FIELDS = (_BYTES[:, None, None] >> np.arange(6, -1, -2)) & 3  # (256, 1, 4)
+_SIGNS = np.array([[1], [-1]])  # forward, inverse
+_ROW_SHIFTS = (4 * _ROWS + (_COLS + _SIGNS * _FIELDS[..., _ROWS]) % 4).astype(np.uint8)
+_COLUMN_ROTATIONS = (4 * ((_ROWS - _SIGNS * _FIELDS[..., _COLS]) % 4) + _COLS).astype(np.uint8)
+_NEXT = np.roll(np.arange(BLOCK_BYTES), -1)  # byte j rotates by material byte j + 1
+# Rows 4-11 of a schedule round: m_sub's _ROTATIONS (forward pair, inverse
+# pair), then m_row byte 0's and m_mix byte 1's sources (forward, inverse).
+# A direction reads m_sub, m_key, divisor, multiplier, row and column sources.
+_FORWARD = [0, 3, 4, 5, 8, 10]
+_INVERSE = [0, 3, 6, 7, 9, 11]
 
-    `y` holds one row per byte position on axis 0, as many as `material` has
-    bytes; the byte after the last is the first.
+
+def _schedule(materials: np.ndarray) -> np.ndarray:
+    """Round materials (R, 4, 16) with their constants appended: (R, 12, 16) uint8."""
+    out = np.empty((len(materials), 12, BLOCK_BYTES), np.uint8)
+    out[:, :4] = materials
+    rotations = np.take(_ROTATIONS, materials[:, 0, _NEXT], axis=0)  # (R, 16, 2, 2)
+    out[:, 4:8] = rotations.reshape(len(materials), BLOCK_BYTES, 4).swapaxes(1, 2)
+    out[:, 8:10] = np.take(_ROW_SHIFTS, materials[:, 1, 0], axis=0)
+    out[:, 10:12] = np.take(_COLUMN_ROTATIONS, materials[:, 2, 1], axis=0)
+    return out
+
+
+def _sub(y: np.ndarray, scratch: np.ndarray, m_sub, div, mul, inverse: bool) -> None:
+    """Byte substitution in place: rotate right by (div, mul), then XOR m_sub.
+
+    The inverse XORs first. `scratch`, shaped like `y`, is overwritten.
     """
-    column = material.shape + (1,) * (y.ndim - 1)
-    left = np.concatenate((material[1:], material[:1])) & 7
-    m = material.reshape(column)
     if inverse:
-        return _rotate_right(y ^ m, left.reshape(column))
-    return _rotate_right(y, ((8 - left) & 7).reshape(column)) ^ m
+        y ^= m_sub
+    np.floor_divide(y, div, out=scratch)
+    y *= mul
+    y |= scratch
+    if not inverse:
+        y ^= m_sub
 
 
-def _rotate_right(y: np.ndarray, amounts: np.ndarray) -> np.ndarray:
-    # y >> s | y << (8 - s) for s in 0..7, written as uint8 division and
-    # multiplication by powers of two: numpy vectorises those but not uint8
-    # shifts, which took three times as long on (16, 62501) rows. For s = 0
-    # the multiplier 1 << 8 wraps to 0 in uint8, as y << 8 should.
-    return (y // (1 << amounts)) | (y * (1 << (8 - amounts)))
+def _mix(y: np.ndarray, out: np.ndarray, sources: np.ndarray, inverse: bool) -> None:
+    """Column mix of C-ordered (16, n) rows `y` into `out`.
 
-
-def _shift_amounts(material_bytes: np.ndarray) -> np.ndarray:
-    """Four 2-bit amounts packed MSB-first into each material byte: (R,) -> (R, 4)."""
-    return (material_bytes[:, None] >> np.arange(6, -1, -2)) & 3
-
-
-def _row_sources(material_bytes: np.ndarray, inverse: bool) -> np.ndarray:
-    """Row shift as (R, 16) source rows: grid row r rotates left by amount r."""
-    amounts = _shift_amounts(material_bytes)[:, _ROWS]
-    return 4 * _ROWS + (_COLS + (-amounts if inverse else amounts)) % 4
-
-
-def _column_sources(material_bytes: np.ndarray, inverse: bool) -> np.ndarray:
-    """Column rotation as (R, 16) source rows: grid column c rotates down by amount c."""
-    amounts = _shift_amounts(material_bytes)[:, _COLS]
-    return 4 * ((_ROWS + (amounts if inverse else -amounts)) % 4) + _COLS
-
-
-def _column_mix(y: np.ndarray, sources: np.ndarray, inverse: bool) -> np.ndarray:
-    """XOR network down each column of (16, n) rows, then the rotation `sources`."""
-    out = y[sources] if inverse else y.copy()
-    grid = out.reshape(4, 4, -1)
-    for a, b in _XOR_NETWORK[::-1] if inverse else _XOR_NETWORK:
-        grid[a] ^= grid[b]
-    return out if inverse else out[sources]
-
-
-def _rounds(y: np.ndarray, materials: np.ndarray, inverse: bool) -> np.ndarray:
-    """Run the rounds of `materials` (R, 4, 16) over (16, n) rows; inverse undoes them."""
+    Down each grid column, rows 0 ^= 1 and 2 ^= 3, then 1 ^= 0 and 3 ^= 2
+    (in place, so forward overwrites `y`); then the rotation `sources`. The
+    inverse rotates first, then undoes the XORs.
+    """
     if inverse:
-        materials = materials[::-1]
-    row_sources = _row_sources(materials[:, 1, 0], inverse)
-    column_sources = _column_sources(materials[:, 2, 1], inverse)
-    for (m_sub, _, _, m_key), rows, columns in zip(materials, row_sources, column_sources):
+        np.take(y, sources, axis=0, out=out, mode="clip")
+        y = out
+    pairs = y.reshape(2, 2, 4, -1)  # pairs[p, q] is grid row 2p + q
+    first, second = pairs[:, 0], pairs[:, 1]
+    if inverse:
+        second ^= first
+        first ^= second
+    else:
+        first ^= second
+        second ^= first
+        np.take(y, sources, axis=0, out=out, mode="clip")
+
+
+def _rounds(y: np.ndarray, schedule: np.ndarray, inverse: bool) -> np.ndarray:
+    """Run the rounds of `schedule` (R, 12, 16) over (16, n) rows; inverse undoes them.
+
+    They work on one C-ordered copy of `y`, which is returned, and a scratch
+    array of its shape: `y` is never written and no round allocates rows.
+    """
+    y = np.array(y, order="C")
+    t = np.empty_like(y)
+    steps = schedule[::-1, _INVERSE] if inverse else schedule[:, _FORWARD]
+    for (m_sub, m_key, div, mul), (rows, columns) in zip(steps[:, :4, :, None], steps[:, 4:]):
         if inverse:
-            y = _column_mix(y ^ m_key[:, None], columns, True)
-            y = _byte_sub(y[rows], m_sub, True)
+            y ^= m_key
+            _mix(y, t, columns, True)
+            np.take(t, rows, axis=0, out=y, mode="clip")
+            _sub(y, t, m_sub, div, mul, True)
         else:
-            y = _column_mix(_byte_sub(y, m_sub, False)[rows], columns, False)
-            y ^= m_key[:, None]
+            _sub(y, t, m_sub, div, mul, False)
+            np.take(y, rows, axis=0, out=t, mode="clip")
+            _mix(t, y, columns, False)
+            y ^= m_key
     return y
+
+
+def _stage(material: bytes, inverse: bool) -> np.ndarray:
+    """What a direction reads of a round whose four materials are all `material`: (6, 16)."""
+    materials = np.broadcast_to(_block(material, "material"), (1, 4, BLOCK_BYTES))
+    return _schedule(materials)[0, _INVERSE if inverse else _FORWARD]
 
 
 def byte_substitution(state: bytes, material: bytes, direction: str = "forward") -> bytes:
     """Per-byte rotation by a material-chosen amount, then XOR with material."""
     inverse = _parse_direction(direction)
-    m = _block(material, "material")
-    return _byte_sub(_block(state, "state")[:, None], m, inverse).tobytes()
+    m_sub, _, div, mul, _, _ = _stage(material, inverse)[:, :, None]
+    y = _block(state, "state")[:, None].copy()
+    _sub(y, np.empty_like(y), m_sub, div, mul, inverse)
+    return y.tobytes()
 
 
 def row_shift(state: bytes, material: bytes, direction: str = "forward") -> bytes:
     """Rotate each 4-byte row by a 2-bit amount taken from the material."""
-    sources = _row_sources(_block(material, "material")[:1], _parse_direction(direction))[0]
-    return _block(state, "state")[sources].tobytes()
+    return _block(state, "state")[_stage(material, _parse_direction(direction))[4]].tobytes()
 
 
 def column_mix(state: bytes, material: bytes, direction: str = "forward") -> bytes:
     """XOR network down each column followed by a material-chosen rotation."""
     inverse = _parse_direction(direction)
-    sources = _column_sources(_block(material, "material")[1:2], inverse)[0]
-    return _column_mix(_block(state, "state")[:, None], sources, inverse).tobytes()
+    y = _block(state, "state")[:, None].copy()
+    out = np.empty_like(y)
+    _mix(y, out, _stage(material, inverse)[5], inverse)
+    return out.tobytes()
 
 
 def add_round_key(state: bytes, material: bytes) -> bytes:
@@ -319,14 +365,14 @@ def add_round_key(state: bytes, material: bytes) -> bytes:
 
 def round_forward(state: bytes, key: SecretKey, round_index: int) -> bytes:
     """One full round: substitution, row shift, column mix, key addition."""
-    material = derive_round_material(key, round_index)[None]
-    return _rounds(_block(state, "state")[:, None], material, False).tobytes()
+    y = _block(state, "state")[:, None]
+    return _rounds(y, _round_schedule(key, round_index), False).tobytes()
 
 
 def round_inverse(state: bytes, key: SecretKey, round_index: int) -> bytes:
     """Inverse of round_forward: the four inverse transforms in reverse order."""
-    material = derive_round_material(key, round_index)[None]
-    return _rounds(_block(state, "state")[:, None], material, True).tobytes()
+    y = _block(state, "state")[:, None]
+    return _rounds(y, _round_schedule(key, round_index), True).tobytes()
 
 
 # --- the 128-cell core -------------------------------------------------------
@@ -422,7 +468,7 @@ def _encrypt_padded(
     if len(rids) != len(padded):
         raise ValueError("need one 16-byte rid per block")
     blocks = np.frombuffer(padded, dtype=np.uint8).reshape(n_blocks, BLOCK_BYTES)
-    y = _rounds(np.ascontiguousarray(blocks.T), _round_materials(key.raw)[: params.rounds], False)
+    y = _rounds(blocks.T, _round_materials(key.raw)[: params.rounds], False)
     rid_rows = np.frombuffer(rids, dtype=np.uint8).reshape(n_blocks, BLOCK_BYTES)
     cipher_bytes, final_bytes = _caf_forward(y.T, rid_rows, key, params.caf_steps)
     masked = final_bytes ^ np.frombuffer(key.caf_segment, dtype=np.uint8)
@@ -441,7 +487,7 @@ def _decrypt_records_raw(records: np.ndarray, key: SecretKey, params: CipherPara
         )
     final_bytes = records[:, BLOCK_BYTES:] ^ np.frombuffer(key.caf_segment, dtype=np.uint8)
     states = _caf_backward(records[:, :BLOCK_BYTES], final_bytes, key, params.caf_steps)
-    y = _rounds(np.ascontiguousarray(states.T), _round_materials(key.raw)[: params.rounds], True)
+    y = _rounds(states.T, _round_materials(key.raw)[: params.rounds], True)
     return y.T.tobytes()
 
 

@@ -22,9 +22,11 @@ from .cipher import (
     DEFAULT_CAF_STEPS,
     DEFAULT_ROUNDS,
     KEY_BYTES,
+    RECORD_BYTES,
     CipherError,
     CipherParams,
     KeyFormatError,
+    PaddingError,
     SecretKey,
     SeededRidSource,
     decrypt_stream,
@@ -32,11 +34,12 @@ from .cipher import (
     os_rid_source,
     parse_key,
 )
-from .container import ContainerError, ContainerHeader, read_container, write_container
+from .container import HEADER_LEN, ContainerError, ContainerHeader, read_container, write_container
 
 RESEARCH_WARNING = (
     "warning: experimental research cipher; do not use it to protect real data"
 )
+_WRONG_KEY_HINT = "wrong key or damaged file"
 
 
 class UsageError(Exception):
@@ -132,11 +135,15 @@ def _cmd_decrypt(args) -> int:
     key = load_key(args.key)
     header, records = read_container(Path(args.infile).read_bytes())
     params = CipherParams(rounds=header.rounds, caf_steps=header.caf_steps)
-    data = decrypt_stream(records, key, params)
+    try:
+        data = decrypt_stream(records, key, params)
+    except PaddingError as exc:  # the trailer is in the last block
+        i = len(records) - 1
+        where = f"block {i}, the record at byte {HEADER_LEN + RECORD_BYTES * i}"
+        raise PaddingError(f"{exc} in {where}: {_WRONG_KEY_HINT}") from exc
     if len(data) != header.plaintext_length:
-        raise ContainerError(
-            f"decrypted length {len(data)} disagrees with header {header.plaintext_length}"
-        )
+        raise ContainerError(f"decrypted length {len(data)} disagrees with header "
+                             f"{header.plaintext_length}: {_WRONG_KEY_HINT}")
     _write_atomic(Path(args.out), data)
     print(f"decrypted {len(records)} blocks -> {args.out} ({len(data)} bytes)")
     return 0

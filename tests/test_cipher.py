@@ -161,18 +161,32 @@ class TestRoundMaterial:
         rng = np.random.default_rng(3)
         key = rand_key(rng)
         m = derive_round_material(key, 2)
-        rows = [row.tobytes() for row in cipher._round_materials(key.raw)[2]]
+        rows = [row.tobytes() for row in cipher._round_materials(key.raw)[2, :4]]
         assert rows == [row.tobytes() for row in m]
 
     def test_material_array_is_read_only(self):
         materials = cipher._round_materials(ZERO_KEY.raw)
-        assert materials.shape == (cipher.MAX_ROUNDS, 4, 16)
+        assert materials.shape == (cipher.MAX_ROUNDS, 12, 16)
         with pytest.raises(ValueError):
             materials[0, 0, 0] = 1
         row = derive_round_material(ZERO_KEY, 0)
         assert row.shape == (4, 16)
         with pytest.raises(ValueError):
             row[0, 0] = 1
+
+    def test_schedule_materials_match_oracle_in_every_round(self):
+        rng = np.random.default_rng(27)
+        for _ in range(3):
+            raw = rng.bytes(32)
+            schedule = cipher._round_materials(raw)
+            for index in range(cipher.MAX_ROUNDS):
+                rows = [row.tobytes() for row in schedule[index, :4]]
+                assert rows == naive_round_materials(raw, index)
+
+    def test_schedule_cache_stays_within_three_mib(self):
+        # a full cache bounds the memory a run with many fresh keys (small_msgs) holds
+        entry = cipher._round_materials(ZERO_KEY.raw)
+        assert cipher._round_materials.cache_info().maxsize * entry.nbytes <= 3 << 20
 
     def test_negative_round_rejected(self):
         for index in (-1, cipher.MAX_ROUNDS):
@@ -317,7 +331,9 @@ class TestStageOracles:
         material = (rng.integers(0, 256, 16, dtype=np.uint8) & 0xF8) | np.roll(np.arange(16) % 8, 1)
         material = material.astype(np.uint8)
         y = np.tile(np.arange(256, dtype=np.uint8), (16, 1))  # column v = sixteen bytes of v
-        got = cipher._byte_sub(y, material, inverse)
+        m_sub, _, div, mul, _, _ = cipher._stage(material.tobytes(), inverse)[:, :, None]
+        got = y.copy()
+        cipher._sub(got, np.empty_like(got), m_sub, div, mul, inverse)
         for v in range(256):
             expected = naive_byte_sub(bytes([v]) * 16, material.tobytes(), inverse)
             assert got[:, v].tobytes() == expected
@@ -346,8 +362,9 @@ class TestStageOracles:
         else:
             y = np.ascontiguousarray(blocks.T)
         before = y.copy()
-        forward = cipher._rounds(y, materials, inverse=False)
-        inverse = cipher._rounds(y, materials, inverse=True)
+        schedule = cipher._schedule(materials)
+        forward = cipher._rounds(y, schedule, inverse=False)
+        inverse = cipher._rounds(y, schedule, inverse=True)
         assert np.array_equal(y, before)  # the input is never written
         assert forward.shape == inverse.shape == (16, n)
         rows = [[m.tobytes() for m in round_materials] for round_materials in materials]
@@ -360,7 +377,7 @@ class TestStageOracles:
                 inv = naive_round(inv, round_materials, inverse=True)
             assert forward[:, i].tobytes() == fwd
             assert inverse[:, i].tobytes() == inv
-        assert np.array_equal(cipher._rounds(forward, materials, inverse=True), before)
+        assert np.array_equal(cipher._rounds(forward, schedule, inverse=True), before)
 
     def test_oracle_round_trips(self):
         rng = np.random.default_rng(25)
@@ -702,11 +719,19 @@ class TestReducedVariantBijectivity:
     ROUNDS = 3
     STEPS = 6
 
+    @staticmethod
+    def _mini_byte_sub(state, material_byte, inverse):
+        # on the one-byte ring the byte rotates by its own material byte
+        div, mul = cipher._ROTATIONS[material_byte, int(inverse)]
+        state = state.copy()
+        cipher._sub(state, np.empty_like(state), material_byte, div, mul, inverse)
+        return state
+
     def _mini_encrypt(self, key, pt, rid):
         state = np.array([pt], dtype=np.uint8)
         for i in range(self.ROUNDS):
             m = derive_round_material(key, i)
-            state = cipher._byte_sub(state, m[0, :1], False)
+            state = self._mini_byte_sub(state, m[0, 0], False)
             state = state ^ m[3, :1]
         pair = SecondOrderState(np.unpackbits(np.array([rid], np.uint8)), np.unpackbits(state))
         out = so_iterate_forward(
@@ -729,7 +754,7 @@ class TestReducedVariantBijectivity:
         for i in reversed(range(self.ROUNDS)):
             m = derive_round_material(key, i)
             state = state ^ m[3, :1]
-            state = cipher._byte_sub(state, m[0, :1], True)
+            state = self._mini_byte_sub(state, m[0, 0], True)
         return int(state[0])
 
     def test_exhaustive_bijectivity(self):

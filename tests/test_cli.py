@@ -167,6 +167,35 @@ class TestEncryptDecrypt:
         assert code == 2
         assert "32 bytes" in err
 
+    def test_wrong_key_names_the_record_and_the_key(self, tmp_path, capsys):
+        src, enc, dec = tmp_path / "p", tmp_path / "c", tmp_path / "q"
+        src.write_bytes(b"seventeen bytes!!" * 3)  # 51 bytes: 4 blocks, the last at 18 + 32 * 3
+        code, _, _ = run(
+            capsys, "encrypt", "--key", "11" * 32, "--in", str(src), "--out", str(enc),
+            "--seed", "07", "--rounds", "2", "--steps", "4",
+        )
+        assert code == 0
+        code, _, err = run(capsys, "decrypt", "--key", "22" * 32, "--in", str(enc), "--out", str(dec))
+        assert code == 2
+        assert "invalid padding trailer" in err
+        assert "block 3, the record at byte 114" in err
+        assert "wrong key" in err
+        assert not dec.exists()
+
+    def test_header_length_disagreement_hints_at_the_key(self, tmp_path, capsys):
+        src, enc, dec = tmp_path / "p", tmp_path / "c", tmp_path / "q"
+        src.write_bytes(bytes(51))
+        key = "11" * 32
+        run(capsys, "encrypt", "--key", key, "--in", str(src), "--out", str(enc),
+            "--rounds", "1", "--steps", "2")
+        blob = bytearray(enc.read_bytes())
+        blob[8:16] = (50).to_bytes(8, "big")  # still 4 records, but not the decrypted length
+        enc.write_bytes(bytes(blob))
+        code, _, err = run(capsys, "decrypt", "--key", key, "--in", str(enc), "--out", str(dec))
+        assert code == 2
+        assert "decrypted length 51 disagrees with header 50" in err
+        assert "wrong key" in err
+
     def test_corrupt_container_is_data_error(self, tmp_path, capsys):
         blob = tmp_path / "c.rpca"
         blob.write_bytes(b"NOPE" + bytes(46))

@@ -1,0 +1,55 @@
+"""Every rpca attribute that perfbench/tracing.py wraps must exist.
+
+The tracer prints a note and skips an attribute it cannot find, so a renamed
+function would make its layer read 0 with no error. This runs the tracer's
+`install_rpca` against a recorder, without wrapping anything, and looks each
+recorded target up.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# tracing.py still wraps the per-cell CAF core, which the cipher no longer
+# imports, so second_order.* reads 0. ROADMAP item F (the next change to the
+# benchmark) moves those spans to cipher._caf_forward and _caf_backward; these
+# two entries go when it does.
+KNOWN_MISSING = {"cipher.so_iterate_forward", "cipher.so_iterate_backward"}
+
+
+class Recorder:
+    """Stands in for tracing.Tracer: records (owner, attribute) and wraps nothing."""
+
+    def __init__(self):
+        self.targets = []
+
+    def install(self, owner, attr, *args, **kwargs):
+        self.targets.append((owner, attr))
+
+    install_counter = install
+
+
+def traced_targets() -> list[tuple[object, str]]:
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracing  # its dataclass looks the module up while it loads
+    try:
+        spec.loader.exec_module(tracing)
+    finally:
+        del sys.modules[spec.name]
+    recorder = Recorder()
+    tracing.install_rpca(recorder)
+    return recorder.targets
+
+
+def test_every_traced_target_exists():
+    targets = traced_targets()
+    assert len(targets) > 10
+    missing = {
+        f"{owner.__name__.removeprefix('rpca.')}.{attr}"
+        for owner, attr in targets
+        if not hasattr(owner, attr)
+    }
+    assert missing <= KNOWN_MISSING, f"traced names rpca lacks: {sorted(missing - KNOWN_MISSING)}"
+
