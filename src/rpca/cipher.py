@@ -21,11 +21,10 @@ Nothing here unpacks bits. A stream's blocks are transposed once into
 transform is a few whole-row operations on them, and the core steps the same
 rows, one gather per step from the key's window table (packed_rule_table,
 16 KiB at radius 3, the last 16 cached). Key setup runs the material
-automata on that kernel over (64, 8) packed rows, one per round, two steps a
-call. A key's schedule, the last 256 cached, is one read-only (64, 12, 16)
-array: each round's four material rows (derive_round_material returns them)
-and the constants they select, so a round is data operations only, two
-gathers and in-place arithmetic on one working copy and one scratch array.
+automata on that kernel over (64, 8) packed rows, one per round, into the
+key's schedule (the last 256 cached): one read-only (64, 8, 16) array of
+each round's four material rows and the constants they select, so a round
+is two gathers and in-place arithmetic on one copy of the rows.
 
 All operations here are pure given an explicit rid; batch variants process
 a whole stream of blocks as one numpy matrix. A stream's records are one
@@ -189,10 +188,10 @@ def _segment_history(segment: bytes) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _round_materials(raw_key: bytes) -> np.ndarray:
-    """The key's schedule: a read-only (MAX_ROUNDS, 12, 16) uint8 array.
+    """The key's schedule: a read-only (MAX_ROUNDS, 8, 16) uint8 array.
 
     Rows 0-3 of round i are its material m_sub, m_row, m_mix and m_key, each
-    a CAL configuration joined to a CAR one; rows 4-11 come from _schedule.
+    a CAL configuration joined to a CAR one; rows 4-7 come from _schedule.
     """
     key = SecretKey(raw_key)
     schedule = _schedule(np.concatenate(
@@ -203,7 +202,7 @@ def _round_materials(raw_key: bytes) -> np.ndarray:
 
 
 def _round_schedule(key: SecretKey, round_index: int) -> np.ndarray:
-    """Round `round_index` of the key's schedule, as a (1, 12, 16) slice."""
+    """Round `round_index` of the key's schedule, as a (1, 8, 16) slice."""
     if not 0 <= round_index < MAX_ROUNDS:
         raise ValueError(f"round_index must be in 0..{MAX_ROUNDS - 1}, got {round_index}")
     return _round_materials(key.raw)[round_index : round_index + 1]
@@ -222,9 +221,7 @@ def derive_round_material(key: SecretKey, round_index: int) -> np.ndarray:
 #
 # They run in place on (16, n) byte-position rows; the single-block API and
 # the stage functions run them on a (16, 1) column. Every constant they use
-# is chosen by one material byte and read from a table built here once. A
-# gather is np.take into a preallocated array with mode="clip", which the
-# indices (0..15) never reach: the default "raise" would buffer the output.
+# is chosen by one material byte and read from a table built here once.
 
 _ROWS, _COLS = np.divmod(np.arange(BLOCK_BYTES), 4)  # grid position of each byte
 _BYTES = np.arange(256)
@@ -238,36 +235,34 @@ def _parse_direction(direction: str) -> bool:
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
-# Byte sub rotates left by a material byte's low 3 bits (inverse: right).
-# A right rotation by s is y // 2^s | y * 2^(8 - s) in uint8, the multiplier
-# 256 wrapping to 0 as y << 8 should: numpy vectorises uint8 division and
-# multiplication but not uint8 shifts, which took three times as long on
-# (16, 62501) rows. (256, 2, 2): forward and inverse (divisor, multiplier).
-_RIGHT_SHIFTS = np.stack([-_BYTES & 7, _BYTES & 7], axis=1)[:, :, None]
-_ROTATIONS = np.concatenate([1 << _RIGHT_SHIFTS, 256 >> _RIGHT_SHIFTS], axis=2).astype(np.uint8)
-# (256, 2, 16): forward and inverse source rows. A material byte's 2-bit
-# fields, MSB first, rotate grid row r left by field r (row shift) and grid
-# column c down by field c (column rotation).
-_FIELDS = (_BYTES[:, None, None] >> np.arange(6, -1, -2)) & 3  # (256, 1, 4)
-_SIGNS = np.array([[1], [-1]])  # forward, inverse
-_ROW_SHIFTS = (4 * _ROWS + (_COLS + _SIGNS * _FIELDS[..., _ROWS]) % 4).astype(np.uint8)
-_COLUMN_ROTATIONS = (4 * ((_ROWS - _SIGNS * _FIELDS[..., _COLS]) % 4) + _COLS).astype(np.uint8)
+# Byte sub rotates left by a material byte's low 3 bits a (inverse: right).
+# A right rotation by s is y // 2^s | y * 2^((8 - s) & 7) in uint8, where
+# s = 0 gives y | y = y: numpy vectorises uint8 division and multiplication
+# but not uint8 shifts, which took three times as long on (16, 62501) rows.
+# Left by a is right by -a & 7, so forward divides by 2^(-a & 7) and
+# multiplies by 2^a, and the inverse swaps the two. (256, 2): both powers.
+_POWERS = (1 << np.stack([-_BYTES & 7, _BYTES & 7], axis=1)).astype(np.uint8)
+# (256, 16) source rows: a material byte's 2-bit fields, MSB first, rotate
+# grid row r left by field r (row shift) or grid column c down by field c
+# (column rotation). The inverse writes row i back to row sources[i].
+_FIELDS = (_BYTES[:, None] >> np.arange(6, -1, -2)) & 3
+_ROW_SHIFTS = (4 * _ROWS + (_COLS + _FIELDS[:, _ROWS]) % 4).astype(np.uint8)
+_COLUMN_ROTATIONS = (4 * ((_ROWS - _FIELDS[:, _COLS]) % 4) + _COLS).astype(np.uint8)
 _NEXT = np.roll(np.arange(BLOCK_BYTES), -1)  # byte j rotates by material byte j + 1
-# Rows 4-11 of a schedule round: m_sub's _ROTATIONS (forward pair, inverse
-# pair), then m_row byte 0's and m_mix byte 1's sources (forward, inverse).
-# A direction reads m_sub, m_key, divisor, multiplier, row and column sources.
-_FORWARD = [0, 3, 4, 5, 8, 10]
-_INVERSE = [0, 3, 6, 7, 9, 11]
+# Rows 4-7 of a schedule round: m_sub's two powers, m_row byte 0's row
+# sources, m_mix byte 1's column sources. A direction reads m_sub, m_key,
+# divisor, multiplier, row sources and column sources.
+_FORWARD = [0, 3, 4, 5, 6, 7]
+_INVERSE = [0, 3, 5, 4, 6, 7]
 
 
 def _schedule(materials: np.ndarray) -> np.ndarray:
-    """Round materials (R, 4, 16) with their constants appended: (R, 12, 16) uint8."""
-    out = np.empty((len(materials), 12, BLOCK_BYTES), np.uint8)
+    """Round materials (R, 4, 16) with their constants appended: (R, 8, 16) uint8."""
+    out = np.empty((len(materials), 8, BLOCK_BYTES), np.uint8)
     out[:, :4] = materials
-    rotations = np.take(_ROTATIONS, materials[:, 0, _NEXT], axis=0)  # (R, 16, 2, 2)
-    out[:, 4:8] = rotations.reshape(len(materials), BLOCK_BYTES, 4).swapaxes(1, 2)
-    out[:, 8:10] = np.take(_ROW_SHIFTS, materials[:, 1, 0], axis=0)
-    out[:, 10:12] = np.take(_COLUMN_ROTATIONS, materials[:, 2, 1], axis=0)
+    out[:, 4:6] = np.take(_POWERS, materials[:, 0, _NEXT], axis=0).swapaxes(1, 2)
+    out[:, 6] = np.take(_ROW_SHIFTS, materials[:, 1, 0], axis=0)
+    out[:, 7] = np.take(_COLUMN_ROTATIONS, materials[:, 2, 1], axis=0)
     return out
 
 
@@ -285,15 +280,22 @@ def _sub(y: np.ndarray, scratch: np.ndarray, m_sub, div, mul, inverse: bool) -> 
         y ^= m_sub
 
 
-def _mix(y: np.ndarray, out: np.ndarray, sources: np.ndarray, inverse: bool) -> None:
-    """Column mix of C-ordered (16, n) rows `y` into `out`.
+def _permute(y: np.ndarray, out: np.ndarray, sources: np.ndarray, inverse: bool) -> None:
+    """Row i of `out` becomes row sources[i] of `y`; inverse: row sources[i] becomes row i."""
+    if inverse:
+        out[sources] = y
+    else:  # sources are 0..15, so "clip" never clips; "raise" would buffer `out`
+        np.take(y, sources, axis=0, out=out, mode="clip")
 
-    Down each grid column, rows 0 ^= 1 and 2 ^= 3, then 1 ^= 0 and 3 ^= 2
-    (in place, so forward overwrites `y`); then the rotation `sources`. The
-    inverse rotates first, then undoes the XORs.
+
+def _mix(y: np.ndarray, out: np.ndarray, sources: np.ndarray, inverse: bool) -> None:
+    """Column mix of C-ordered (16, n) rows `y` into `out`; forward overwrites `y`.
+
+    Down each grid column rows 0 ^= 1 and 2 ^= 3, then 1 ^= 0 and 3 ^= 2;
+    then the rotation `sources`. The inverse undoes both, last first.
     """
     if inverse:
-        np.take(y, sources, axis=0, out=out, mode="clip")
+        _permute(y, out, sources, True)
         y = out
     pairs = y.reshape(2, 2, 4, -1)  # pairs[p, q] is grid row 2p + q
     first, second = pairs[:, 0], pairs[:, 1]
@@ -303,11 +305,11 @@ def _mix(y: np.ndarray, out: np.ndarray, sources: np.ndarray, inverse: bool) -> 
     else:
         first ^= second
         second ^= first
-        np.take(y, sources, axis=0, out=out, mode="clip")
+        _permute(y, out, sources, False)
 
 
 def _rounds(y: np.ndarray, schedule: np.ndarray, inverse: bool) -> np.ndarray:
-    """Run the rounds of `schedule` (R, 12, 16) over (16, n) rows; inverse undoes them.
+    """Run the rounds of `schedule` (R, 8, 16) over (16, n) rows; inverse undoes them.
 
     They work on one C-ordered copy of `y`, which is returned, and a scratch
     array of its shape: `y` is never written and no round allocates rows.
@@ -319,42 +321,43 @@ def _rounds(y: np.ndarray, schedule: np.ndarray, inverse: bool) -> np.ndarray:
         if inverse:
             y ^= m_key
             _mix(y, t, columns, True)
-            np.take(t, rows, axis=0, out=y, mode="clip")
+            _permute(t, y, rows, True)
             _sub(y, t, m_sub, div, mul, True)
         else:
             _sub(y, t, m_sub, div, mul, False)
-            np.take(y, rows, axis=0, out=t, mode="clip")
+            _permute(y, t, rows, False)
             _mix(t, y, columns, False)
             y ^= m_key
     return y
 
 
-def _stage(material: bytes, inverse: bool) -> np.ndarray:
-    """What a direction reads of a round whose four materials are all `material`: (6, 16)."""
+def _stage(state: bytes, material: bytes, direction: str):
+    """A block as a (16, 1) column, a scratch column, the direction, and the six
+    rows it reads (see _FORWARD) of a round whose four materials are `material`."""
+    inverse = _parse_direction(direction)
     materials = np.broadcast_to(_block(material, "material"), (1, 4, BLOCK_BYTES))
-    return _schedule(materials)[0, _INVERSE if inverse else _FORWARD]
+    y = _block(state, "state")[:, None].copy()
+    return y, np.empty_like(y), inverse, _schedule(materials)[0, _INVERSE if inverse else _FORWARD]
 
 
 def byte_substitution(state: bytes, material: bytes, direction: str = "forward") -> bytes:
     """Per-byte rotation by a material-chosen amount, then XOR with material."""
-    inverse = _parse_direction(direction)
-    m_sub, _, div, mul, _, _ = _stage(material, inverse)[:, :, None]
-    y = _block(state, "state")[:, None].copy()
-    _sub(y, np.empty_like(y), m_sub, div, mul, inverse)
+    y, scratch, inverse, (m_sub, _, div, mul, _, _) = _stage(state, material, direction)
+    _sub(y, scratch, m_sub[:, None], div[:, None], mul[:, None], inverse)
     return y.tobytes()
 
 
 def row_shift(state: bytes, material: bytes, direction: str = "forward") -> bytes:
     """Rotate each 4-byte row by a 2-bit amount taken from the material."""
-    return _block(state, "state")[_stage(material, _parse_direction(direction))[4]].tobytes()
+    y, out, inverse, constants = _stage(state, material, direction)
+    _permute(y, out, constants[4], inverse)
+    return out.tobytes()
 
 
 def column_mix(state: bytes, material: bytes, direction: str = "forward") -> bytes:
     """XOR network down each column followed by a material-chosen rotation."""
-    inverse = _parse_direction(direction)
-    y = _block(state, "state")[:, None].copy()
-    out = np.empty_like(y)
-    _mix(y, out, _stage(material, inverse)[5], inverse)
+    y, out, inverse, constants = _stage(state, material, direction)
+    _mix(y, out, constants[5], inverse)
     return out.tobytes()
 
 

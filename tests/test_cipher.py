@@ -166,7 +166,7 @@ class TestRoundMaterial:
 
     def test_material_array_is_read_only(self):
         materials = cipher._round_materials(ZERO_KEY.raw)
-        assert materials.shape == (cipher.MAX_ROUNDS, 12, 16)
+        assert materials.shape == (cipher.MAX_ROUNDS, 8, 16)
         with pytest.raises(ValueError):
             materials[0, 0, 0] = 1
         row = derive_round_material(ZERO_KEY, 0)
@@ -331,7 +331,8 @@ class TestStageOracles:
         material = (rng.integers(0, 256, 16, dtype=np.uint8) & 0xF8) | np.roll(np.arange(16) % 8, 1)
         material = material.astype(np.uint8)
         y = np.tile(np.arange(256, dtype=np.uint8), (16, 1))  # column v = sixteen bytes of v
-        m_sub, _, div, mul, _, _ = cipher._stage(material.tobytes(), inverse)[:, :, None]
+        steps = cipher._schedule(np.broadcast_to(material, (1, 4, 16)))[0]
+        m_sub, _, div, mul = steps[cipher._INVERSE if inverse else cipher._FORWARD][:4, :, None]
         got = y.copy()
         cipher._sub(got, np.empty_like(got), m_sub, div, mul, inverse)
         for v in range(256):
@@ -722,7 +723,7 @@ class TestReducedVariantBijectivity:
     @staticmethod
     def _mini_byte_sub(state, material_byte, inverse):
         # on the one-byte ring the byte rotates by its own material byte
-        div, mul = cipher._ROTATIONS[material_byte, int(inverse)]
+        div, mul = cipher._POWERS[material_byte, ::-1 if inverse else 1]
         state = state.copy()
         cipher._sub(state, np.empty_like(state), material_byte, div, mul, inverse)
         return state
