@@ -87,15 +87,24 @@ def _avalanche_plaintext(
 def _avalanche_key(
     key: SecretKey, params: CipherParams, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
+    # trial by trial: plaintext, rid, then key bit, the order the seed fixes
+    draws = [
+        (rng.bytes(BLOCK_BYTES), rng.bytes(BLOCK_BYTES), int(rng.integers(0, 8 * len(key.raw))))
+        for _ in range(trials)
+    ]
+    plaintexts, rids, positions = zip(*draws)
+    blocks = np.frombuffer(b"".join(plaintexts), dtype=np.uint8).reshape(trials, BLOCK_BYTES)
+    rid_rows = np.frombuffer(b"".join(rids), dtype=np.uint8).reshape(trials, BLOCK_BYTES)
+    base = cipher._encrypt_padded(blocks.tobytes(), key, params, rid_rows.tobytes())
+    # one batch per flipped bit, so each neighbouring key is built once
+    positions = np.array(positions)
     diffs = np.empty((trials, 8 * BLOCK_BYTES), dtype=np.uint8)
-    for t in range(trials):
-        plaintext = rng.bytes(BLOCK_BYTES)
-        rid = rng.bytes(BLOCK_BYTES)
-        position = int(rng.integers(0, 8 * len(key.raw)))
-        flipped_key = cipher.parse_key(_flip_bit(key.raw, position))
-        base = cipher._encrypt_padded(plaintext, key, params, rid)
-        var = cipher._encrypt_padded(plaintext, flipped_key, params, rid)
-        diffs[t] = np.unpackbits(base[0, :BLOCK_BYTES] ^ var[0, :BLOCK_BYTES])
+    for position in np.unique(positions):
+        rows = np.flatnonzero(positions == position)
+        flipped_key = cipher.parse_key(_flip_bit(key.raw, int(position)))
+        var = cipher._encrypt_padded(blocks[rows].tobytes(), flipped_key, params,
+                                     rid_rows[rows].tobytes())
+        diffs[rows] = np.unpackbits(base[rows, :BLOCK_BYTES] ^ var[:, :BLOCK_BYTES], axis=1)
     return diffs
 
 

@@ -20,11 +20,12 @@ Nothing here unpacks bits. A stream's blocks are transposed once into
 (16, n) byte-position rows, row j holding byte j of every block: each round
 transform is a few whole-row operations on them, and the core steps the same
 rows, one gather per step from the key's window table (packed_rule_table,
-16 KiB at radius 3, the last 16 cached). Key setup runs the material
-automata on that kernel over (64, 8) packed rows, one per round, into the
-key's schedule (the last 256 cached): one read-only (64, 8, 16) array of
-each round's four material rows and the constants they select, so a round
-is two gathers and in-place arithmetic on one copy of the rows.
+16 KiB at radius 3). Key setup runs the material automata on that kernel
+over (64, 8) packed rows, one per round, into the key's schedule: one
+read-only (64, 8, 16) array of each round's four material rows and the
+constants they select, so a round is two gathers and in-place arithmetic on
+one copy of the rows. A SecretKey builds both on first use and keeps them
+while it lives, so reuse one SecretKey for a key's traffic.
 
 All operations here are pure given an explicit rid; batch variants process
 a whole stream of blocks as one numpy matrix. A stream's records are one
@@ -39,7 +40,7 @@ import hashlib
 import secrets
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -103,6 +104,20 @@ class SecretKey:
     @property
     def caf_segment(self) -> bytes:
         return self.raw[16:32]
+
+    # The key's expansion, built on first use and freed with the key. The
+    # builders are looked up as module globals so perfbench can span them.
+    @cached_property
+    def _key_schedule(self) -> np.ndarray:
+        return _round_materials(self.raw)
+
+    @cached_property
+    def _window_table(self) -> np.ndarray:
+        return packed_rule_table(_caf_rule(self.caf_segment))
+
+    def __reduce__(self):
+        # a pickled or copied key carries its 32 bytes, not its expansion
+        return SecretKey, (self.raw,)
 
 
 def parse_key(raw: bytes) -> SecretKey:
@@ -186,7 +201,6 @@ def _segment_history(segment: bytes) -> np.ndarray:
     return np.array([q4, q3, q2, q1]).transpose(1, 0, 2)
 
 
-@lru_cache(maxsize=256)
 def _round_materials(raw_key: bytes) -> np.ndarray:
     """The key's schedule: a read-only (MAX_ROUNDS, 8, 16) uint8 array.
 
@@ -205,7 +219,7 @@ def _round_schedule(key: SecretKey, round_index: int) -> np.ndarray:
     """Round `round_index` of the key's schedule, as a (1, 8, 16) slice."""
     if not 0 <= round_index < MAX_ROUNDS:
         raise ValueError(f"round_index must be in 0..{MAX_ROUNDS - 1}, got {round_index}")
-    return _round_materials(key.raw)[round_index : round_index + 1]
+    return key._key_schedule[round_index : round_index + 1]
 
 
 def derive_round_material(key: SecretKey, round_index: int) -> np.ndarray:
@@ -380,29 +394,20 @@ def round_inverse(state: bytes, key: SecretKey, round_index: int) -> bytes:
 
 # --- the 128-cell core -------------------------------------------------------
 
-# Kept small on purpose: a table is 16 KiB, so 256 entries like the material
-# cache above would hold up to 4 MiB. On the small_msgs benchmark (a quarter
-# of messages under fresh keys) that raised peak RSS by 12%; 16 entries cost
-# about 3%.
-@lru_cache(maxsize=16)
-def _caf_table(caf_segment: bytes) -> np.ndarray:
-    return packed_rule_table(_caf_rule(caf_segment))
-
-
 def _caf_forward(states: np.ndarray, rids: np.ndarray, key: SecretKey, caf_steps: int):
     """Run the block-wide automaton forward from (rid, state) rows of bytes.
 
     Returns (ciphertext, final data) as byte rows: the pair of configurations
     left at the end of the run, next-to-last first.
     """
-    return so_iterate_packed(rids, states, _caf_table(key.caf_segment), caf_steps)
+    return so_iterate_packed(rids, states, key._window_table, caf_steps)
 
 
 def _caf_backward(
     ciphertext: np.ndarray, final_data: np.ndarray, key: SecretKey, caf_steps: int
 ) -> np.ndarray:
     """Run the automaton backward to the state rows; the recovered rid is discarded."""
-    states, _ = so_iterate_packed(final_data, ciphertext, _caf_table(key.caf_segment), caf_steps)
+    states, _ = so_iterate_packed(final_data, ciphertext, key._window_table, caf_steps)
     return states
 
 
@@ -471,7 +476,7 @@ def _encrypt_padded(
     if len(rids) != len(padded):
         raise ValueError("need one 16-byte rid per block")
     blocks = np.frombuffer(padded, dtype=np.uint8).reshape(n_blocks, BLOCK_BYTES)
-    y = _rounds(blocks.T, _round_materials(key.raw)[: params.rounds], False)
+    y = _rounds(blocks.T, key._key_schedule[: params.rounds], False)
     rid_rows = np.frombuffer(rids, dtype=np.uint8).reshape(n_blocks, BLOCK_BYTES)
     cipher_bytes, final_bytes = _caf_forward(y.T, rid_rows, key, params.caf_steps)
     masked = final_bytes ^ np.frombuffer(key.caf_segment, dtype=np.uint8)
@@ -490,7 +495,7 @@ def _decrypt_records_raw(records: np.ndarray, key: SecretKey, params: CipherPara
         )
     final_bytes = records[:, BLOCK_BYTES:] ^ np.frombuffer(key.caf_segment, dtype=np.uint8)
     states = _caf_backward(records[:, :BLOCK_BYTES], final_bytes, key, params.caf_steps)
-    y = _rounds(states.T, _round_materials(key.raw)[: params.rounds], True)
+    y = _rounds(states.T, key._key_schedule[: params.rounds], True)
     return y.T.tobytes()
 
 

@@ -52,6 +52,19 @@ def select_rule(table: SelectionTable, c1: int, c2: int) -> int:
     return table.rules[(int(c1), int(c2))]
 
 
+def _control_bits(signals: np.ndarray) -> np.ndarray:
+    """Control pairs as uint8; ValueError naming the first pair that is not two bits.
+
+    Checked before the cast, which would wrap 256 to 0 and truncate 0.5 to 0.
+    """
+    bad = np.argwhere(~np.isin(signals, (0, 1)).all(axis=-1))
+    if len(bad):
+        *step, cell = first = tuple(bad[0])
+        at = f"step {step[0]}, cell {cell}" if step else f"cell {cell}"
+        raise ValueError(f"control pair at {at} must be 0 or 1, got {signals[first].tolist()}")
+    return signals.astype(np.uint8)
+
+
 @dataclass(frozen=True)
 class ControlProgram:
     """Per-cell control pairs, constant or varying per step.
@@ -63,10 +76,12 @@ class ControlProgram:
     signals: np.ndarray
 
     def __post_init__(self) -> None:
-        sig = np.asarray(self.signals, dtype=np.uint8)
-        if sig.ndim not in (2, 3) or sig.shape[-1] != 2:
-            raise ValueError(f"signals must be (cells, 2) or (steps, cells, 2), got {sig.shape}")
-        object.__setattr__(self, "signals", sig)
+        sig = np.asarray(self.signals)
+        if sig.ndim not in (2, 3) or sig.shape[-1] != 2 or 0 in sig.shape:
+            raise ValueError(
+                f"signals must be non-empty (cells, 2) or (steps, cells, 2), got {sig.shape}"
+            )
+        object.__setattr__(self, "signals", _control_bits(sig))
 
     @property
     def cells(self) -> int:
@@ -85,7 +100,7 @@ def induced_rule_vector(
     sig = controls.at(0) if isinstance(controls, ControlProgram) else np.asarray(controls)
     if sig.ndim != 2 or sig.shape[1] != 2:
         raise ValueError(f"controls must have shape (cells, 2), got {sig.shape}")
-    return [table.rule(int(c1), int(c2)) for c1, c2 in sig]
+    return [table.rule(int(c1), int(c2)) for c1, c2 in _control_bits(sig)]
 
 
 def pca_step(
@@ -112,6 +127,8 @@ def pca_run(
     steps: int,
 ) -> np.ndarray:
     """Iterate a control program; step t uses the program's row t."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     out = np.asarray(config, dtype=np.uint8)
     for t in range(steps):
         out = pca_step(out, program.at(t), table, boundary)

@@ -52,6 +52,23 @@ class TestAvalanche:
         assert report.flip_target == "key"
         assert report.mean_flip_fraction > 0.0
 
+    def test_seeded_key_flip_report_matches_per_trial_reference(self):
+        # 300 trials over 256 key bits: most bits batch one trial, some several
+        key, trials = key_for(12), 300
+        report = avalanche(key, PARAMS, trials, "key", rng=np.random.default_rng(13))
+        rng = np.random.default_rng(13)
+        diffs = np.empty((trials, 128), np.uint8)
+        for t in range(trials):
+            plaintext, rid = rng.bytes(16), rng.bytes(16)
+            position = int(rng.integers(0, 256))
+            raw = bytearray(key.raw)
+            raw[position // 8] ^= 0x80 >> (position % 8)
+            base = encrypt_block(plaintext, key, PARAMS, rid).ciphertext
+            var = encrypt_block(plaintext, parse_key(bytes(raw)), PARAMS, rid).ciphertext
+            diffs[t] = np.unpackbits(np.frombuffer(base, np.uint8) ^ np.frombuffer(var, np.uint8))
+        assert np.array_equal(report.per_bit_flip_frequency, diffs.mean(axis=0))
+        assert report.mean_flip_fraction == float(diffs.mean(axis=0).mean())
+
     def test_degenerate_config_still_reports(self):
         # weakest allowed parameters: report exists and stays in bounds
         report = avalanche(

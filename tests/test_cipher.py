@@ -1,7 +1,11 @@
+import copy
+import gc
 import hashlib
+import pickle
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -183,10 +187,43 @@ class TestRoundMaterial:
                 rows = [row.tobytes() for row in schedule[index, :4]]
                 assert rows == naive_round_materials(raw, index)
 
-    def test_schedule_cache_stays_within_three_mib(self):
-        # a full cache bounds the memory a run with many fresh keys (small_msgs) holds
-        entry = cipher._round_materials(ZERO_KEY.raw)
-        assert cipher._round_materials.cache_info().maxsize * entry.nbytes <= 3 << 20
+    def test_key_expansion_built_once_per_key(self, monkeypatch):
+        # count through the module attributes perfbench's key-setup span wraps
+        builds = []
+        for name in ("_round_materials", "_caf_rule"):
+            def counted(*args, _build=getattr(cipher, name), _name=name):
+                builds.append(_name)
+                return _build(*args)
+            monkeypatch.setattr(cipher, name, counted)
+        key = parse_key(bytes(range(32)))
+        for seed in (b"a", b"b"):
+            records = encrypt_stream(b"built once" * 5, key, SMALL, SeededRidSource(seed))
+            assert decrypt_stream(records, key, SMALL) == b"built once" * 5
+        derive_round_material(key, 5)
+        round_forward(bytes(16), key, 2)
+        assert sorted(builds) == ["_caf_rule", "_round_materials"]
+        # the expansion lives on the key object: an equal key builds its own
+        derive_round_material(parse_key(key.raw), 0)
+        assert sorted(builds) == ["_caf_rule", "_round_materials", "_round_materials"]
+
+    def test_key_expansion_freed_with_key(self):
+        key = parse_key(bytes(range(32)))
+        encrypt_stream(b"", key, FAST, SeededRidSource(b"freed"))
+        refs = [weakref.ref(key._key_schedule), weakref.ref(key._window_table)]
+        del key
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_pickled_key_carries_only_its_bytes(self):
+        key = parse_key(bytes(range(32)))
+        derive_round_material(key, 0)
+        for clone in (pickle.loads(pickle.dumps(key)), copy.copy(key), copy.deepcopy(key)):
+            assert vars(clone) == {"raw": key.raw}
+            assert clone == key
+            schedule = clone._key_schedule
+            assert np.array_equal(schedule, key._key_schedule)
+            assert not schedule.flags.writeable
+        assert len(pickle.dumps(key)) < 100
 
     def test_negative_round_rejected(self):
         for index in (-1, cipher.MAX_ROUNDS):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,37 @@ class TestControlProgram:
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             ControlProgram(np.zeros((4, 3), np.uint8))
+
+    @pytest.mark.parametrize("shape", [(0, 4, 2), (3, 0, 2), (0, 2)])
+    def test_empty_program_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            ControlProgram(np.zeros(shape, np.uint8))
+
+    def test_negative_step_count_rejected(self):
+        prog = ControlProgram(CONTROLS_51_51_195_153)
+        with pytest.raises(ValueError, match="steps must be >= 0, got -3"):
+            pca.pca_run(ca.parse_bits("1011"), prog, TABLE_51_195_153, Boundary.NULL, -3)
+
+
+class TestControlValues:
+    @pytest.mark.parametrize("bad", [2, 255, -1])
+    def test_non_bit_control_names_its_cell(self, bad):
+        controls = np.array([[0, 1], [1, 1], [bad, 0], [0, 0]])
+        pattern = rf"cell 2 must be 0 or 1, got \[{bad}, 0\]"
+        with pytest.raises(ValueError, match=pattern):
+            pca.induced_rule_vector(controls, TABLE_51_195_153)
+        with pytest.raises(ValueError, match=pattern):
+            pca.pca_step(ca.parse_bits("1011"), controls, TABLE_51_195_153, Boundary.NULL)
+
+    @pytest.mark.parametrize("bad", [2, 256, -1, 0.5])
+    def test_non_bit_program_rejected_before_the_cast(self, bad):
+        # a uint8 cast would wrap 256 to 0 and truncate 0.5 to 0, both valid controls
+        sig = np.zeros((2, 4, 2))
+        sig[1, 3, 1] = bad
+        with pytest.raises(ValueError, match=rf"step 1, cell 3 must be 0 or 1, got \[0.0, {bad}"):
+            ControlProgram(sig)
+        with pytest.raises(ValueError, match=rf"cell 3 must be 0 or 1, got \[0.0, {bad}"):
+            ControlProgram(sig[1])
 
 
 class TestCycleCipher:
