@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
 
 MAX_RADIUS = 3
 EXHAUSTIVE_CELL_LIMIT = 20
-_CODE_BLOCK = 1 << 16  # codes global_map steps at once: 13 MiB traced at 20 cells
+_CODE_BLOCK = 1 << 16  # codes global_map steps at once: 9 MiB traced at 20 cells
 
 
 class Boundary(str, Enum):
@@ -199,7 +200,7 @@ def global_map(rules: Rule | Sequence[Rule], boundary: Boundary, cells: int) -> 
         )
     if cells < 1:
         raise ValueError("cells must be >= 1")
-    succ = np.empty(1 << cells, dtype=np.int64)
+    succ = np.empty(1 << cells, dtype=np.int32)
     for lo in range(0, succ.size, _CODE_BLOCK):
         codes = np.arange(lo, min(lo + _CODE_BLOCK, succ.size), dtype=">u4")
         bits = np.unpackbits(codes.view(np.uint8)).reshape(-1, 32)
@@ -214,7 +215,9 @@ def is_reversible_global(
 ) -> bool:
     """True iff the global transition map is injective over all 2^cells states."""
     succ = global_map(rules, boundary, cells)
-    return len(np.unique(succ)) == succ.size
+    hit = np.zeros(succ.size, dtype=bool)
+    hit[succ] = True
+    return bool(hit.all())
 
 
 def enumerate_reversible_elementary(radius: int, cell_sizes: Iterable[int]) -> set[int]:
@@ -250,6 +253,75 @@ class CycleReport:
         return [len(c) for c in self.cycles]
 
 
+def _cycle_order(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every state code, cycle by cycle as cycle_structure lists them, then the
+    transients ascending; and each cycle's length.
+
+    Whole-array passes over int32 arrays the size of `succ`, a few alive at once.
+    """
+    n = succ.size
+    # Cycle states are the image of succ^(2^k) once doubling k no longer shrinks it.
+    on = np.zeros(n, dtype=bool)
+    on[succ] = True
+    size, far = np.count_nonzero(on), succ
+    while True:
+        far = far[far]
+        on[:] = False
+        on[far] = True
+        size, last = np.count_nonzero(on), size
+        if size == last:
+            break
+    # Pointer doubling: low is the least state within 2^k steps, dist the steps to
+    # its first visit. A transient starts above every state and jumps first to where
+    # it lands on its cycle, so it ends with that cycle's least state.
+    low = np.arange(n, dtype=np.int32)
+    jump = np.where(on, succ, far)
+    del far
+    low[~on] = n
+    dist = np.zeros(n, dtype=np.int32)
+    later = np.empty(n, dtype=bool)
+    step = 1
+    while True:
+        ahead = low[jump]
+        np.less(ahead, low, out=later)
+        if not later.any():
+            break
+        np.minimum(low, ahead, out=low)
+        del ahead
+        later &= on  # a transient's dist is never read
+        np.add(dist[jump], step, out=dist, where=later)
+        jump = jump[jump]
+        step *= 2
+    del ahead, jump, later
+    # Each basin's least code is the start whose walk finds its cycle.
+    first = np.full(n, n, dtype=np.int32)
+    np.minimum.at(first, low, np.arange(n, dtype=np.int32))
+    heads = np.flatnonzero(first < n)
+    heads = heads[np.argsort(first[heads])]
+    entry = first[heads]  # walked in lockstep to where each start meets its cycle
+    while not (hit := on[entry]).all():
+        entry = np.where(hit, entry, succ[entry])
+    lengths = dist[succ[heads]] + 1
+    del succ
+    ends = np.cumsum(lengths, dtype=np.int32)
+    skew = dist[entry]
+    first[heads] = np.arange(heads.size, dtype=np.int32)
+    low = first[low]  # each state's cycle, numbered in the order it is found
+    del first
+    # A cycle state lands (dist(entry) - dist) mod length past its cycle's start;
+    # transients follow every cycle, in ascending order.
+    dest = skew[low]
+    dest -= dist
+    np.remainder(dest, lengths[low], out=dest)
+    dest += (ends - lengths)[low]
+    del low, dist
+    off = ~on
+    np.add(np.cumsum(off, dtype=np.int32), ends[-1] - 1, out=dest, where=off)
+    order = np.empty(n, dtype=np.int32)
+    order[dest] = np.arange(n, dtype=np.int32)
+    return order, lengths
+
+
 def cycle_structure(
     rules: Rule | Sequence[Rule], boundary: Boundary, cells: int
 ) -> CycleReport:
@@ -257,25 +329,16 @@ def cycle_structure(
 
     Cycles come in the order walks from ascending start codes close them, each
     listed from the state where its walk entered it; transients ascend. The
-    walk reads no numpy element: successors come from a list, marks from a bytearray.
+    successor map is decomposed in numpy; the lists are built after its arrays
+    are freed.
     """
-    succ = global_map(rules, boundary, cells).tolist()
-    mark = bytearray(len(succ))  # 0 unvisited, 1 on this walk, 2 done, 3 on a cycle
-    cycles: list[list[int]] = []
-    for start in range(len(succ)):
-        path: list[int] = []
-        v = start
-        while not mark[v]:
-            mark[v] = 1
-            path.append(v)
-            v = succ[v]
-        at = path.index(v) if mark[v] == 1 else len(path)  # path[at:] is a new cycle
-        for i, u in enumerate(path):
-            mark[u] = 2 if i < at else 3
-        if at < len(path):
-            cycles.append(path[at:])
-    transients = [s for s, m in enumerate(mark) if m != 3]
-    return CycleReport(cells=cells, cycles=cycles, transient_states=transients)
+    order, lengths = _cycle_order(global_map(rules, boundary, cells))
+    flat = order.tolist()
+    del order
+    sizes = lengths.tolist()
+    cycles = [flat[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
+    del flat[: sum(sizes)]
+    return CycleReport(cells=cells, cycles=cycles, transient_states=flat)
 
 
 # --- text conversions -----------------------------------------------------

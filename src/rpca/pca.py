@@ -35,7 +35,7 @@ class SelectionTable:
             raise ValueError(f"selection table is missing control pairs: {sorted(missing)}")
 
     def rule(self, c1: int, c2: int) -> Rule:
-        return ca.make_rule(self.radius, self.rules[(c1, c2)])
+        return ca.make_rule(self.radius, select_rule(self, c1, c2))
 
 
 # Printed rows of the two selection tables used throughout.
@@ -48,7 +48,9 @@ TABLE_204_240_170 = SelectionTable(
 
 
 def select_rule(table: SelectionTable, c1: int, c2: int) -> int:
-    """Rule number the table assigns to the control pair (c1, c2)."""
+    """Rule number the table assigns to the control pair (c1, c2), each 0 or 1."""
+    if c1 not in (0, 1) or c2 not in (0, 1):
+        raise ValueError(f"control pair must be 0 or 1, got {(c1, c2)!r}")
     return table.rules[(int(c1), int(c2))]
 
 

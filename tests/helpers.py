@@ -28,6 +28,31 @@ def naive_step(cells, rule_numbers, radius, boundary):
     return out
 
 
+def naive_cycle_walk(succ):
+    """Cycles and transients of a successor map, found by walking from every state.
+
+    Starts ascend. A walk stops at the first state already marked; if that
+    state is on the walk itself, the walk from there on is a new cycle.
+    Transients are every state on no cycle, ascending.
+    """
+    succ = [int(v) for v in succ]
+    mark = bytearray(len(succ))  # 0 unvisited, 1 on this walk, 2 done, 3 on a cycle
+    cycles = []
+    for start in range(len(succ)):
+        path = []
+        v = start
+        while not mark[v]:
+            mark[v] = 1
+            path.append(v)
+            v = succ[v]
+        at = path.index(v) if mark[v] == 1 else len(path)
+        for i, u in enumerate(path):
+            mark[u] = 2 if i < at else 3
+        if at < len(path):
+            cycles.append(path[at:])
+    return cycles, [s for s, m in enumerate(mark) if m != 3]
+
+
 def naive_so_step(prev, curr, rule_number, radius, boundary):
     """Second-order update via explicit rule/complement selection per cell.
 

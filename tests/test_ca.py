@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from rpca import ca
 from rpca.ca import Boundary
 
-from helpers import naive_step
+from helpers import naive_cycle_walk, naive_step
 
 # Rule/output rows for the six reversible elementary rules, columns ordered
 # 111 110 101 100 011 010 001 000 (highest pattern first).
@@ -323,7 +324,7 @@ class TestGlobalMap:
         for cells in range(1, 13):
             nums = numbers_for(numbers, cells)
             succ = ca.global_map(vector(*nums, radius=radius), Boundary(boundary), cells)
-            assert succ.dtype == np.int64
+            assert succ.dtype == np.int32
             assert succ.tolist() == [
                 naive_successor(code, cells, nums, radius, boundary)
                 for code in range(1 << cells)
@@ -337,7 +338,7 @@ class TestGlobalMap:
     def test_twenty_cells_on_a_sample(self, radius, numbers, boundary):
         nums = numbers_for(numbers, 20)
         succ = ca.global_map(vector(*nums, radius=radius), Boundary(boundary), 20)
-        assert succ.dtype == np.int64 and succ.shape == (1 << 20,)
+        assert succ.dtype == np.int32 and succ.shape == (1 << 20,)
         rng = np.random.default_rng(20)
         codes = [0, 65535, 65536, (1 << 20) - 1, *rng.integers(0, 1 << 20, 60).tolist()]
         for code in codes:
@@ -350,10 +351,69 @@ class TestGlobalMap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20  # the answer alone is 8 MiB
+        assert peak < 32 * 2**20  # the answer alone is 4 MiB
+
+
+CRAFTED_MAPS = ["self-loops", "one cycle", "chain", "permutation", "random", "onto a tenth"]
+
+# sha256 of repr((cycles, transient_states)) of naive_cycle_walk over the 20-cell map
+TWENTY_CELL_REPORTS = [
+    ((51, 51, 195, 153), "null", "4053a0474253637ae75b882106297bac774e1aac35d92c2aa9698df2ad73c552"),
+    ((30,), "cyclic", "89279d3f1417b587ddad7dd588e0c92b5e2a24c508f0db277dca91f4f3ce247b"),
+]
+
+
+def crafted_map(kind, n, rng):
+    """Successor codes of one of CRAFTED_MAPS over n states, under shuffled labels."""
+    labels = rng.permutation(n)
+    succ = np.empty(n, dtype=np.int32)
+    if kind == "self-loops":
+        succ[:] = np.arange(n)
+    elif kind == "one cycle":
+        succ[labels] = np.roll(labels, -1)
+    elif kind == "chain":  # labels[0] lies n - 1 steps before the fixed point labels[-1]
+        succ[labels] = np.append(labels[1:], labels[-1])
+    elif kind == "permutation":
+        succ[:] = labels
+    elif kind == "random":
+        succ[:] = rng.integers(0, n, n)
+    else:
+        succ[:] = rng.choice(labels[: max(1, n // 10)], n)
+    return succ
 
 
 class TestCycleStructure:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 257, 4096])
+    @pytest.mark.parametrize("kind", CRAFTED_MAPS)
+    def test_matches_the_walk_on_crafted_maps(self, monkeypatch, kind, n):
+        rng = np.random.default_rng([n, CRAFTED_MAPS.index(kind)])
+        for _ in range(3):
+            succ = crafted_map(kind, n, rng)
+            monkeypatch.setattr(ca, "global_map", lambda rules, boundary, cells: succ.copy())
+            report = ca.cycle_structure(ca.make_rule(1, 30), Boundary.CYCLIC, 12)
+            cycles, transients = naive_cycle_walk(succ)
+            assert report.cycles == cycles
+            assert report.transient_states == transients
+
+    @pytest.mark.parametrize("numbers,boundary,digest", TWENTY_CELL_REPORTS,
+                             ids=["vector-null", "30-cyclic"])
+    def test_twenty_cell_report_is_pinned(self, numbers, boundary, digest):
+        report = ca.cycle_structure(vector(*numbers_for(numbers, 20)), Boundary(boundary), 20)
+        text = repr((report.cycles, report.transient_states))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("numbers,boundary", [case[:2] for case in TWENTY_CELL_REPORTS],
+                             ids=["vector-null", "30-cyclic"])
+    def test_twenty_cells_trace_under_80_mib(self, numbers, boundary):
+        rules = vector(*numbers_for(numbers, 20))
+        tracemalloc.start()
+        try:
+            ca.cycle_structure(rules, Boundary(boundary), 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20  # the reports alone are 56 and 36 MiB
+
     def test_legacy_vector_four_cycles_of_four(self):
         report = ca.cycle_structure(vector(51, 51, 195, 153), Boundary.NULL, 4)
         assert report.cycle_lengths() == [4, 4, 4, 4]

@@ -39,6 +39,16 @@ class TestSelectionTables:
         assert select_rule(TABLE_204_240_170, 1, 0) == 240
         assert select_rule(TABLE_204_240_170, 1, 1) == 170
 
+    @pytest.mark.parametrize("pair", [(2, 0), (0, -1), (0.5, 0), (1, 256)])
+    def test_select_rule_rejects_a_pair_that_is_not_two_bits(self, pair):
+        with pytest.raises(ValueError, match=re.escape(repr(pair))):
+            select_rule(TABLE_51_195_153, *pair)
+
+    @pytest.mark.parametrize("pair", [(2, 0), (0, -1), (0.5, 0), (1, 256)])
+    def test_table_rule_rejects_a_pair_that_is_not_two_bits(self, pair):
+        with pytest.raises(ValueError, match=re.escape(repr(pair))):
+            TABLE_204_240_170.rule(*pair)
+
     def test_incomplete_table_rejected(self):
         with pytest.raises(ValueError):
             SelectionTable(radius=1, rules={(0, 0): 51})
