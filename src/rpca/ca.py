@@ -8,6 +8,7 @@ highest index. Functions are pure; stepping never mutates its input.
 """
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
@@ -17,7 +18,7 @@ import numpy as np
 
 MAX_RADIUS = 3
 EXHAUSTIVE_CELL_LIMIT = 20
-_CODE_BLOCK = 1 << 16  # codes global_map steps at once: 9 MiB traced at 20 cells
+_CODE_BLOCK = 1 << 14  # codes per global_map block: np.take's intp index is 2.5 MiB at 20 cells
 
 
 class Boundary(str, Enum):
@@ -95,7 +96,7 @@ def complement_rule(rule: Rule) -> Rule:
 
 
 def _as_table_stack(rules: Rule | Sequence[Rule], cells: int) -> tuple[np.ndarray, int, bool]:
-    """Normalize a uniform rule or per-cell vector to (tables, radius, uniform)."""
+    """Normalize a uniform rule or per-cell vector to (tables end to end, radius, uniform)."""
     if isinstance(rules, Rule):
         return rules.table, rules.radius, True
     vec = list(rules)
@@ -110,7 +111,7 @@ def _as_table_stack(rules: Rule | Sequence[Rule], cells: int) -> tuple[np.ndarra
         raise ValueError(
             f"rule vector has {len(vec)} entries; need 1 or {cells} for {cells} cells"
         )
-    return np.stack([r.table for r in vec]), radius, False
+    return np.concatenate([r.table for r in vec]), radius, False
 
 
 def neighborhood_index(states: np.ndarray, radius: int, boundary: Boundary) -> np.ndarray:
@@ -133,25 +134,38 @@ def neighborhood_index(states: np.ndarray, radius: int, boundary: Boundary) -> n
     # Values stay below 2^7 for radius <= 3, so uint8 arithmetic is safe.
     idx = ext[..., 0:n].copy()
     for k in range(1, 2 * radius + 1):
-        np.left_shift(idx, 1, out=idx)
+        idx += idx  # numpy vectorises a uint8 add, not a uint8 shift
         np.bitwise_or(idx, ext[..., k : k + n], out=idx)
     return idx
 
 
+def as_cells(states: np.ndarray) -> np.ndarray:
+    """Cells as uint8, or ValueError naming the first one not 0 or 1 (before a cast wraps it)."""
+    states = np.asarray(states)
+    if states.dtype != np.uint8 or states.max(initial=0) > 1:
+        bad = np.argwhere((states != 0) & (states != 1))
+        if len(bad):
+            at = tuple(bad[0].tolist())
+            raise ValueError(f"cell {at[0] if len(at) == 1 else at} must be 0 or 1, "
+                             f"got {states[at]}")
+    return states.astype(np.uint8, copy=False)
+
+
 def step_many(states: np.ndarray, rules: Rule | Sequence[Rule], boundary: Boundary) -> np.ndarray:
-    """Synchronous update of a (..., n) batch of configurations."""
-    states = np.asarray(states, dtype=np.uint8)
+    """Synchronous update of a (..., n) batch of configurations of 0/1 cells."""
+    states = as_cells(states)
     n = states.shape[-1]
     tables, radius, uniform = _as_table_stack(rules, n)
     idx = neighborhood_index(states, radius, boundary)
-    if uniform:
-        return tables[idx]
-    return tables[np.arange(n), idx]
+    if not uniform:  # cell i's table starts at i * 2^(2r+1); uint16 offsets while they fit
+        dtype = np.uint16 if tables.size <= 1 << 16 else np.intp
+        idx = idx + np.arange(0, tables.size, tables.size // n, dtype=dtype)
+    return tables.take(idx, mode="clip")
 
 
 def step(config: np.ndarray, rules: Rule | Sequence[Rule], boundary: Boundary) -> np.ndarray:
     """One synchronous update of a single configuration; returns a new array."""
-    config = np.asarray(config, dtype=np.uint8)
+    config = np.asarray(config)
     if config.ndim != 1 or config.size < 1:
         raise ValueError("configuration must be a non-empty 1-D cell array")
     return step_many(config, rules, boundary)
@@ -166,7 +180,7 @@ def iterate(
     """`steps`-fold composition of `step`; steps=0 returns the input unchanged."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    out = np.asarray(config, dtype=np.uint8)
+    out = as_cells(config)
     for _ in range(steps):
         out = step(out, rules, boundary)
     return out
@@ -176,7 +190,7 @@ def iterate(
 
 def state_to_int(config: np.ndarray) -> int:
     """Integer code of a configuration (cell 0 = most significant bit), exact at any width."""
-    config = np.asarray(config, dtype=np.uint8)
+    config = as_cells(config)
     return int.from_bytes(np.packbits(config).tobytes(), "big") >> (-config.size % 8)
 
 
@@ -330,15 +344,21 @@ def cycle_structure(
     Cycles come in the order walks from ascending start codes close them, each
     listed from the state where its walk entered it; transients ascend. The
     successor map is decomposed in numpy; the lists are built after its arrays
-    are freed.
+    are freed, with the cyclic garbage collector paused.
     """
     order, lengths = _cycle_order(global_map(rules, boundary, cells))
     flat = order.tolist()
     del order
     sizes = lengths.tolist()
-    cycles = [flat[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
-    del flat[: sum(sizes)]
-    return CycleReport(cells=cells, cycles=cycles, transient_states=flat)
+    enabled = gc.isenabled()
+    gc.disable()  # lists of ints hold no reference cycles, so a collection only rescans them
+    try:
+        cycles = [flat[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
+        del flat[: sum(sizes)]
+        return CycleReport(cells=cells, cycles=cycles, transient_states=flat)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # --- text conversions -----------------------------------------------------

@@ -112,7 +112,7 @@ def pca_step(
     boundary: Boundary,
 ) -> np.ndarray:
     """One step under the rule vector induced by the control signals."""
-    config = np.asarray(config, dtype=np.uint8)
+    config = np.asarray(config)
     if config.ndim != 1:
         raise ValueError(f"configuration must be a 1-D cell array, got shape {config.shape}")
     rules = induced_rule_vector(controls, table)
@@ -131,7 +131,7 @@ def pca_run(
     """Iterate a control program; step t uses the program's row t."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    out = np.asarray(config, dtype=np.uint8)
+    out = ca.as_cells(config)
     for t in range(steps):
         out = pca_step(out, program.at(t), table, boundary)
     return out
@@ -145,7 +145,7 @@ def _half_turn(state: np.ndarray, rules: Rule | Sequence[Rule], boundary: Bounda
     Raises UnsupportedOrbitError if the state is transient or its cycle has
     odd length.
     """
-    current = np.asarray(state, dtype=np.uint8)
+    current = ca.as_cells(state)
     if current.ndim != 1:
         raise ValueError(f"state must be a 1-D cell array, got shape {current.shape}")
     cells = current.shape[0]

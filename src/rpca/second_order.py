@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ca import MAX_RADIUS, Boundary, Rule, step_many
+from .ca import MAX_RADIUS, Boundary, Rule, as_cells, step_many
 
 
 class SecondOrderState(NamedTuple):
@@ -44,7 +44,7 @@ def so_iterate_forward(
     """Apply `steps` second-order updates (steps >= 1)."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    prev, curr = (np.asarray(half, dtype=np.uint8) for half in state)
+    prev, curr = (as_cells(half) for half in state)
     if prev.shape != curr.shape:
         raise ValueError(f"prev/curr shapes differ: {prev.shape} vs {curr.shape}")
     for _ in range(steps):

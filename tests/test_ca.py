@@ -1,5 +1,11 @@
+import gc
 import hashlib
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +183,32 @@ class TestStep:
                 Boundary.NULL,
             )
 
+    @pytest.mark.parametrize("bad,dtype", [(256, None), (2, None), (3, None), (-1, None),
+                                           (0.5, None), (2, np.uint8), (255, np.uint8)])
+    @pytest.mark.parametrize("rules", [(30,), (51, 51, 195, 153)], ids=["uniform", "vector"])
+    def test_cell_outside_zero_one_names_its_index(self, bad, dtype, rules):
+        # a uint8 cast would wrap 256 to 0, and a clipped gather would read 2 as a pattern
+        cfg, rules = np.array([0, 1, bad, 0], dtype=dtype), vector(*rules)
+        for call in (lambda: ca.step(cfg, rules, Boundary.CYCLIC),
+                     lambda: ca.iterate(cfg, rules, Boundary.NULL, 3),
+                     lambda: ca.iterate(cfg, rules, Boundary.NULL, 0)):
+            with pytest.raises(ValueError, match=re.escape(f"cell 2 must be 0 or 1, got {bad}")):
+                call()
+        batch = np.zeros((3, 4), dtype=cfg.dtype)
+        batch[1] = cfg
+        with pytest.raises(ValueError, match=re.escape(f"cell (1, 2) must be 0 or 1, got {bad}")):
+            ca.step_many(batch, rules, Boundary.CYCLIC)
+
+    def test_long_vector_offsets_pass_uint16(self):
+        # 600 cells x 128 entries: the flat table's last offset is above 2^16
+        rng = np.random.default_rng(600)
+        numbers = [int.from_bytes(rng.bytes(16), "little") for _ in range(600)]
+        cells = rng.integers(0, 2, 600)
+        rules = vector(*numbers, radius=3)
+        for boundary in Boundary:
+            got = ca.step(cells, rules, boundary)
+            assert got.tolist() == naive_step(cells.tolist(), numbers, 3, boundary.value)
+
     @settings(max_examples=120, deadline=None)
     @given(
         st.integers(1, 3),
@@ -301,6 +333,10 @@ GLOBAL_MAP_RULES = [
     (2, (0x6E1D3A95,)),
     (3, (0x9E3779B97F4A7C15F39CC0605CEDC834,)),
     (1, (51, 195, 153, 30, 90, 150, 204)),
+    # per-cell vectors at radius 2 and 3: at 12 cells the flat table's offsets pass 255
+    (2, (0x6E1D3A95, 0x96696996, 0x0F0F0F0F, 0xFFFF0000, 0x12345678)),
+    (3, (0x9E3779B97F4A7C15F39CC0605CEDC834, 0x0123456789ABCDEF0123456789ABCDEF,
+         0xF0F0F0F0F0F0F0F0F0F0F0F0F0F0F0F0)),
 ]
 
 
@@ -318,7 +354,7 @@ def numbers_for(numbers, cells):
 
 class TestGlobalMap:
     @pytest.mark.parametrize("boundary", ["null", "cyclic"])
-    @pytest.mark.parametrize("radius,numbers", GLOBAL_MAP_RULES, ids=["30", "r2", "r3", "vector"])
+    @pytest.mark.parametrize("radius,numbers", GLOBAL_MAP_RULES, ids=["30", "r2", "r3", "vector", "r2-vector", "r3-vector"])
     def test_matches_naive_step_on_every_state(self, monkeypatch, radius, numbers, boundary):
         monkeypatch.setattr(ca, "_CODE_BLOCK", 7)  # blocks end mid-range
         for cells in range(1, 13):
@@ -414,6 +450,33 @@ class TestCycleStructure:
             tracemalloc.stop()
         assert peak < 80 * 2**20  # the reports alone are 56 and 36 MiB
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_lists_are_built_with_the_collector_paused(self, enabled):
+        collections = []
+        hook = lambda phase, info: collections.append((phase, info["generation"]))  # noqa: E731
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        gc.collect()
+        gc.callbacks.append(hook)
+        try:
+            ca.cycle_structure(vector(*numbers_for((51, 51, 195, 153), 16)), Boundary.NULL, 16)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.callbacks.remove(hook)
+            (gc.enable if was else gc.disable)()
+        assert collections == []
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+    def test_twenty_cell_census_rss(self):
+        # tracemalloc misses np.take's intp copy of its index: with 2^16-code blocks a
+        # census child rose 101.6 -> 116.3 MiB while its traced peak stayed the same.
+        # Measured here: a child that only imports rpca peaks at 31.5 MiB and one that
+        # runs this census at 101.6 MiB, 70.1 MiB more; allow about 5%.
+        census = ("ca.cycle_structure([ca.make_rule(1, n) for n in (51, 51, 195, 153) * 5], "
+                  "ca.Boundary.NULL, 20)")
+        extra = child_peak_mib(census) - child_peak_mib("")
+        assert extra < 1.05 * 70.1
+
     def test_legacy_vector_four_cycles_of_four(self):
         report = ca.cycle_structure(vector(51, 51, 195, 153), Boundary.NULL, 4)
         assert report.cycle_lengths() == [4, 4, 4, 4]
@@ -464,6 +527,21 @@ class TestCycleStructure:
         assert report.transient_states == transients
 
 
+def child_peak_mib(code):
+    """Peak RSS, in MiB, of a fresh interpreter that imports rpca.ca and runs `code`.
+
+    Read from VmHWM, not ru_maxrss: Linux carries the parent's peak into a child's
+    ru_maxrss across exec, so under a large test process both children would read it.
+    """
+    script = (f"from rpca import ca\n{code}\n"
+              "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+              "           if line.startswith('VmHWM:')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(ca.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    return int(run.stdout) / 1024
+
+
 def naive_cycle_report(numbers, cells, boundary):
     """Cycles in order of the first start whose orbit reaches them, each listed
     from the state where that orbit enters it; then every other state, ascending."""
@@ -500,6 +578,11 @@ class TestTextHelpers:
         assert ca.state_to_int(cfg) == 0b1011
         assert np.array_equal(ca.int_to_state(0b1011, 4), cfg)
         assert ca.format_state_int(3, 5) == "00011"
+
+    @pytest.mark.parametrize("bad", [2, 256, -1])
+    def test_state_to_int_rejects_a_cell_outside_zero_one(self, bad):
+        with pytest.raises(ValueError, match=f"cell 1 must be 0 or 1, got {bad}"):
+            ca.state_to_int(np.array([1, bad, 0]))
 
     @pytest.mark.parametrize("cells", [1, 8, 63, 64, 65, 128])
     def test_state_int_round_trip_at_any_width(self, cells):

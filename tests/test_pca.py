@@ -211,6 +211,19 @@ class TestCycleCipher:
         with pytest.raises(ValueError, match="20"):
             cycle_encipher(np.zeros(24, np.uint8), LEGACY_VECTOR[:1], Boundary.CYCLIC)
 
+    @pytest.mark.parametrize("bad", [256, 2, -1])
+    def test_cell_outside_zero_one_rejected(self, bad):
+        # a uint8 cast would wrap 256 to 0 and walk a different orbit
+        state = np.array([0, 1, bad, 0])
+        for call in (lambda: cycle_encipher(state, LEGACY_VECTOR, Boundary.NULL),
+                     lambda: cycle_decipher(state, LEGACY_VECTOR, Boundary.NULL),
+                     lambda: pca.pca_step(state, np.zeros((4, 2)), TABLE_51_195_153,
+                                          Boundary.NULL),
+                     lambda: pca.pca_run(state, ControlProgram(np.zeros((4, 2))),
+                                         TABLE_51_195_153, Boundary.NULL, 0)):
+            with pytest.raises(ValueError, match=f"cell 2 must be 0 or 1, got {bad}"):
+                call()
+
     @pytest.mark.parametrize("walk", [cycle_encipher, cycle_decipher])
     def test_zero_dimensional_state_rejected(self, walk):
         with pytest.raises(ValueError, match=r"shape \(\)"):

@@ -49,6 +49,19 @@ class TestSoStep:
             so_step(SecondOrderState(ca.parse_bits("101"), ca.parse_bits("1010")),
                     RULE_204, Boundary.CYCLIC)
 
+    @pytest.mark.parametrize("bad", [2, 256, -1])
+    @pytest.mark.parametrize("half", ["prev", "curr"])
+    def test_cell_outside_zero_one_rejected_in_either_half(self, half, bad):
+        # a previous cell of 2 came back as 2; a current one raised a bare IndexError
+        pair = {"prev": ca.parse_bits("0110"), "curr": ca.parse_bits("1010")}
+        pair[half] = np.array([0, 1, bad, 0])
+        pair = SecondOrderState(**pair)
+        for call in (lambda: so_step(pair, RULE_204, Boundary.CYCLIC),
+                     lambda: so_iterate_forward(pair, RULE_204, Boundary.NULL, 3),
+                     lambda: so_iterate_backward(pair, RULE_204, Boundary.NULL, 3)):
+            with pytest.raises(ValueError, match=f"cell 2 must be 0 or 1, got {bad}"):
+                call()
+
     @settings(max_examples=120, deadline=None)
     @given(
         st.integers(1, 3),
