@@ -121,16 +121,13 @@ def neighborhood_index(states: np.ndarray, radius: int, boundary: Boundary) -> n
     0..2^(2r+1)-1, the leftmost neighbor contributing the most significant bit.
     """
     n = states.shape[-1]
-    if Boundary(boundary) is Boundary.CYCLIC:
-        if n >= radius:
-            ext = np.concatenate(
-                [states[..., n - radius :], states, states[..., :radius]], axis=-1
-            )
-        else:  # ring narrower than the radius: offsets wrap more than once
-            ext = np.take(states, np.arange(-radius, n + radius), axis=-1, mode="wrap")
-    else:
-        pad = [(0, 0)] * (states.ndim - 1) + [(radius, radius)]
-        ext = np.pad(states, pad)
+    ext = np.zeros(states.shape[:-1] + (n + 2 * radius,), np.uint8)  # null edges read 0
+    ext[..., radius : radius + n] = states
+    # `is` first spares the cyclic path an Enum call per step
+    if boundary is Boundary.CYCLIC or Boundary(boundary) is Boundary.CYCLIC:
+        for _ in range(0, radius, n):  # ceil(r / n) passes, each wrapping n more columns in
+            ext[..., :radius] = ext[..., n : n + radius]
+            ext[..., n + radius :] = ext[..., radius : 2 * radius]
     # Values stay below 2^7 for radius <= 3, so uint8 arithmetic is safe.
     idx = ext[..., 0:n].copy()
     for k in range(1, 2 * radius + 1):
@@ -151,9 +148,19 @@ def as_cells(states: np.ndarray) -> np.ndarray:
     return states.astype(np.uint8, copy=False)
 
 
+def as_config(config: np.ndarray) -> np.ndarray:
+    """One configuration as uint8 cells, or ValueError naming the bad cell or the shape."""
+    config = as_cells(config)
+    if config.ndim != 1:
+        raise ValueError(f"configuration must be a 1-D cell array, got shape {config.shape}")
+    return config
+
+
 def step_many(states: np.ndarray, rules: Rule | Sequence[Rule], boundary: Boundary) -> np.ndarray:
     """Synchronous update of a (..., n) batch of configurations of 0/1 cells."""
     states = as_cells(states)
+    if not states.ndim or not states.shape[-1]:
+        raise ValueError(f"configurations need at least one cell, got shape {states.shape}")
     n = states.shape[-1]
     tables, radius, uniform = _as_table_stack(rules, n)
     idx = neighborhood_index(states, radius, boundary)
@@ -166,8 +173,8 @@ def step_many(states: np.ndarray, rules: Rule | Sequence[Rule], boundary: Bounda
 def step(config: np.ndarray, rules: Rule | Sequence[Rule], boundary: Boundary) -> np.ndarray:
     """One synchronous update of a single configuration; returns a new array."""
     config = np.asarray(config)
-    if config.ndim != 1 or config.size < 1:
-        raise ValueError("configuration must be a non-empty 1-D cell array")
+    if config.ndim != 1:
+        raise ValueError(f"configuration must be a 1-D cell array, got shape {config.shape}")
     return step_many(config, rules, boundary)
 
 
@@ -190,7 +197,7 @@ def iterate(
 
 def state_to_int(config: np.ndarray) -> int:
     """Integer code of a configuration (cell 0 = most significant bit), exact at any width."""
-    config = as_cells(config)
+    config = as_config(config)
     return int.from_bytes(np.packbits(config).tobytes(), "big") >> (-config.size % 8)
 
 
@@ -371,8 +378,8 @@ def parse_bits(text: str) -> np.ndarray:
 
 
 def format_bits(config: np.ndarray) -> str:
-    """Render cells as an ASCII bit string, leftmost cell first."""
-    return "".join("1" if b else "0" for b in np.asarray(config))
+    """Render one configuration as an ASCII bit string, leftmost cell first."""
+    return (as_config(config) + ord("0")).tobytes().decode("ascii")
 
 
 def format_state_int(code: int, cells: int) -> str:
@@ -380,9 +387,9 @@ def format_state_int(code: int, cells: int) -> str:
     return format(code, f"0{cells}b")
 
 
-def parse_rule_vector(text: str, radius: int = 1) -> list[Rule]:
-    """Parse comma-separated decimal rule numbers, e.g. '51,51,195,153'."""
+def parse_rule_vector(text: str) -> list[Rule]:
+    """Parse comma-separated decimal radius-1 rule numbers, e.g. '51,51,195,153'."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty rule vector")
-    return [make_rule(radius, int(p)) for p in parts]
+    return [make_rule(1, int(p)) for p in parts]

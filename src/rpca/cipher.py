@@ -133,12 +133,11 @@ class CipherParams:
     caf_steps: int = DEFAULT_CAF_STEPS
 
     def __post_init__(self) -> None:
-        if not MIN_ROUNDS <= self.rounds <= MAX_ROUNDS:
-            raise ValueError(f"rounds must be in {MIN_ROUNDS}..{MAX_ROUNDS}, got {self.rounds}")
-        if not MIN_CAF_STEPS <= self.caf_steps <= MAX_CAF_STEPS:
-            raise ValueError(
-                f"caf_steps must be in {MIN_CAF_STEPS}..{MAX_CAF_STEPS}, got {self.caf_steps}"
-            )
+        for name, low, high in (("rounds", MIN_ROUNDS, MAX_ROUNDS),
+                                ("caf_steps", MIN_CAF_STEPS, MAX_CAF_STEPS)):
+            value = getattr(self, name)  # integers: types with __index__, as operator.index takes
+            if not hasattr(type(value), "__index__") or not low <= value <= high:
+                raise ValueError(f"{name} must be an integer in {low}..{high}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -112,9 +112,7 @@ def pca_step(
     boundary: Boundary,
 ) -> np.ndarray:
     """One step under the rule vector induced by the control signals."""
-    config = np.asarray(config)
-    if config.ndim != 1:
-        raise ValueError(f"configuration must be a 1-D cell array, got shape {config.shape}")
+    config = ca.as_config(config)
     rules = induced_rule_vector(controls, table)
     if len(rules) != config.shape[0]:
         raise ValueError(f"controls width {len(rules)} != cell count {config.shape[0]}")
@@ -145,9 +143,7 @@ def _half_turn(state: np.ndarray, rules: Rule | Sequence[Rule], boundary: Bounda
     Raises UnsupportedOrbitError if the state is transient or its cycle has
     odd length.
     """
-    current = ca.as_cells(state)
-    if current.ndim != 1:
-        raise ValueError(f"state must be a 1-D cell array, got shape {current.shape}")
+    current = ca.as_config(state)
     cells = current.shape[0]
     if cells > ca.EXHAUSTIVE_CELL_LIMIT:
         raise ValueError(

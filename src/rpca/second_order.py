@@ -104,10 +104,15 @@ def so_iterate_packed(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    prev = np.asarray(prev, dtype=np.uint8)
-    curr = np.asarray(curr, dtype=np.uint8)
+    prev, curr = np.asarray(prev), np.asarray(curr)
     if prev.shape != curr.shape or not prev.ndim or not prev.shape[-1]:
         raise ValueError(f"prev/curr shapes differ or hold no bytes: {prev.shape} vs {curr.shape}")
+    for half in (prev, curr):  # a uint8 cast would wrap 256 to 0 and -1 to 255
+        if half.dtype != np.uint8 and len(bad := np.argwhere((half < 0) | (half > 255))):
+            at = tuple(bad[0].tolist())
+            raise ValueError(f"byte {at[0] if len(at) == 1 else at} must be in 0..255, "
+                             f"got {half[at]}")
+    prev, curr = prev.astype(np.uint8, copy=False), curr.astype(np.uint8, copy=False)
     radius = (table.size.bit_length() - 9) // 2
     if not 1 <= radius <= MAX_RADIUS or table.shape != (1 << (8 + 2 * radius),):
         raise ValueError(f"not a packed rule table: shape {table.shape}")

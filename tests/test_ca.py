@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import os
 import re
 import subprocess
@@ -198,6 +199,44 @@ class TestStep:
         batch[1] = cfg
         with pytest.raises(ValueError, match=re.escape(f"cell (1, 2) must be 0 or 1, got {bad}")):
             ca.step_many(batch, rules, Boundary.CYCLIC)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_every_width_around_the_radius(self, radius, boundary):
+        # widths 1..2r+2: rings narrower than, as wide as and wider than the radius
+        rng = np.random.default_rng(radius)
+        for n in range(1, 2 * radius + 3):
+            configs = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.uint8)
+            numbers = [int.from_bytes(rng.bytes(1 << (2 * radius - 2)), "little")
+                       for _ in range(n)]
+            for nums in (numbers, numbers[:1]):  # a per-cell vector and a uniform rule
+                rules = vector(*nums, radius=radius)
+                expected = np.array([naive_step(c, nums, radius, boundary.value)
+                                     for c in configs.tolist()], dtype=np.uint8)
+                wide = np.zeros((len(configs), 2 * n), np.uint8)
+                wide[:, ::2] = configs
+                for batch in (configs, np.asfortranarray(configs), wide[:, ::2]):
+                    got = ca.step_many(batch, rules, boundary)
+                    assert np.array_equal(got, expected), (n, len(nums))
+                got = ca.step_many(configs.reshape(2, -1, n), rules, boundary)
+                assert np.array_equal(got, expected.reshape(2, -1, n)), (n, len(nums))
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0)])
+    def test_no_cells_rejected(self, shape, boundary):
+        # a 0-d input and a cyclic empty row raised a bare IndexError; a null one stepped
+        states = np.zeros(shape, np.uint8)
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            ca.step_many(states, ca.make_rule(1, 30), boundary)
+
+    def test_boundary_by_member_or_value(self):
+        cfg, rule = ca.parse_bits("1000"), ca.make_rule(1, 240)
+        for cyclic in (Boundary.CYCLIC, "cyclic"):
+            assert ca.format_bits(ca.step(cfg[::-1], rule, cyclic)) == "1000"
+        for null in (Boundary.NULL, "null"):
+            assert ca.format_bits(ca.step(cfg[::-1], rule, null)) == "0000"
+        with pytest.raises(ValueError, match="torus"):
+            ca.step(cfg, rule, "torus")
 
     def test_long_vector_offsets_pass_uint16(self):
         # 600 cells x 128 entries: the flat table's last offset is above 2^16
@@ -566,6 +605,9 @@ def naive_cycle_report(numbers, cells, boundary):
 class TestTextHelpers:
     def test_bits_round_trip(self):
         assert ca.format_bits(ca.parse_bits("100110")) == "100110"
+        assert ca.format_bits(ca.parse_bits("1011")[::-1]) == "1101"
+        for cfg in ([1, 0, 1, 1], np.array([1, 0, 1, 1], np.int64), np.array([1, 0, 1, 1], bool)):
+            assert ca.format_bits(cfg) == "1011"
 
     def test_parse_rejects_junk(self):
         with pytest.raises(ValueError):
@@ -597,8 +639,23 @@ class TestTextHelpers:
         with pytest.raises(ValueError, match="out of range"):
             ca.int_to_state(code, cells)
 
+    @pytest.mark.parametrize("cells,bad", [([2, 0, 1], 2), ([0, 1, 0, -1], -1), ([1, 256], 256)])
+    def test_format_bits_rejects_a_cell_outside_zero_one(self, cells, bad):
+        # 2 and -1 rendered as "1", and 256 as "0"
+        at = cells.index(bad)
+        with pytest.raises(ValueError, match=re.escape(f"cell {at} must be 0 or 1, got {bad}")):
+            ca.format_bits(np.array(cells))
+
+    @pytest.mark.parametrize("call", [ca.format_bits, ca.state_to_int])
+    @pytest.mark.parametrize("config", [[[1, 0], [0, 1]], 1, [[1, 0, 1]]])
+    def test_one_configuration_only(self, call, config):
+        # state_to_int read [[1, 0], [0, 1]] as 9, and format_bits as "11"
+        with pytest.raises(ValueError, match=re.escape(f"shape {np.shape(config)}")):
+            call(np.array(config))
+
     def test_parse_rule_vector(self):
         rules = ca.parse_rule_vector("51,51,195,153")
         assert [r.number for r in rules] == [51, 51, 195, 153]
+        assert {r.radius for r in rules} == {1}
         with pytest.raises(ValueError):
             ca.parse_rule_vector("")

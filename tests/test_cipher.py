@@ -591,6 +591,17 @@ class TestBlockApi:
         with pytest.raises(ValueError):
             CipherParams(caf_steps=1025)
 
+    @pytest.mark.parametrize("field", ["rounds", "caf_steps"])
+    @pytest.mark.parametrize("value", [10.5, 10.0, "10", None, [10]])
+    def test_param_must_be_an_integer(self, field, value):
+        # rounds=10.5 was accepted and failed later in a slice; "10" raised a bare TypeError
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            CipherParams(**{field: value})
+
+    def test_param_takes_numpy_integers(self):
+        params = CipherParams(rounds=np.int64(3), caf_steps=np.uint16(8))
+        assert (params.rounds, params.caf_steps) == (3, 8)
+
 
 class TestStreams:
     @pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 33, 1000])

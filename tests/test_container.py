@@ -130,6 +130,11 @@ class TestRejection:
         with pytest.raises(ContainerValidationError):
             ContainerHeader(1, 4, -1).validate()
 
+    @pytest.mark.parametrize("rounds,caf_steps", [(10.5, 4), ("10", 4), (10, 4.0)])
+    def test_header_validate_non_integer_params(self, rounds, caf_steps):
+        with pytest.raises(ContainerValidationError, match="must be an integer"):
+            ContainerHeader(rounds, caf_steps, 0).validate()
+
 
 class TestHeaderEncoding:
     def test_big_endian_fields(self):

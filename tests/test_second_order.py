@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -270,6 +271,27 @@ class TestIteratePacked:
         table = packed_rule_table(RULE_204)
         with pytest.raises(ValueError, match="steps must be >= 1"):
             so_iterate_packed(np.zeros(2, np.uint8), np.zeros(2, np.uint8), table, 0)
+
+    @pytest.mark.parametrize("bad,dtype", [(256, np.int64), (-1, np.int64), (300, np.uint16),
+                                           (-1, np.int8)])
+    @pytest.mark.parametrize("half", ["prev", "curr"])
+    def test_byte_outside_0_255_rejected_in_either_half(self, half, bad, dtype):
+        # a uint8 cast stepped 256 as 0 and -1 as 255
+        pair = {"prev": np.zeros((2, 3), dtype), "curr": np.zeros((2, 3), dtype)}
+        pair[half][1, 2] = bad
+        table = packed_rule_table(RULE_204)
+        for at, rows in (("(1, 2)", slice(None)), ("2", 1)):  # a batch, then one row
+            message = re.escape(f"byte {at} must be in 0..255, got {bad}")
+            with pytest.raises(ValueError, match=message):
+                so_iterate_packed(pair["prev"][rows], pair["curr"][rows], table, 1)
+
+    def test_integer_rows_in_range_step_as_bytes(self):
+        table = packed_rule_table(ca.make_rule(2, 0x9A3C5F01))
+        rng = np.random.default_rng(7)
+        prev, curr = rng.integers(0, 256, (2, 5, 4))
+        want = so_iterate_packed(prev.astype(np.uint8), curr.astype(np.uint8), table, 3)
+        got = so_iterate_packed(prev, curr, table, 3)
+        assert all(np.array_equal(g, w) and g.dtype == np.uint8 for g, w in zip(got, want))
 
     def test_shape_mismatch_rejected(self):
         table = packed_rule_table(RULE_204)
