@@ -16,7 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
-from . import cipher
+from . import ca, cipher
 from .cipher import BLOCK_BYTES, CipherParams, SecretKey, SeededRidSource
 
 FLIP_TARGETS = ("plaintext", "key")
@@ -52,8 +52,7 @@ def avalanche(
     chosen bit of the plaintext (or of the key), re-encrypts with the same
     rid, and records which of the 128 ciphertext bits differ.
     """
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
+    trials = ca.as_count(trials, "trials", 1, MAX_TRIALS)
     if flip_target not in FLIP_TARGETS:
         raise ValueError(f"flip_target must be one of {FLIP_TARGETS}")
     rng = rng or np.random.default_rng()
@@ -141,12 +140,10 @@ def throughput_bench(
     before timing begins, mirroring a long-lived tool's steady state.
     `workers` must be in 1..MAX_WORKERS; None means one per CPU, up to that.
     """
-    if not 1 <= megabytes <= MAX_MEGABYTES:
-        raise ValueError(f"megabytes must be in 1..{MAX_MEGABYTES}, got {megabytes}")
+    megabytes = ca.as_count(megabytes, "megabytes", 1, MAX_MEGABYTES)
     if workers is None:
         workers = min(os.cpu_count() or 1, MAX_WORKERS)
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
+    workers = ca.as_count(workers, "workers", 1, MAX_WORKERS)
     rng = rng or np.random.default_rng()
     payload = rng.bytes(megabytes * 1_000_000)
     mb = len(payload) / 1e6

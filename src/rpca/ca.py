@@ -9,6 +9,7 @@ highest index. Functions are pure; stepping never mutates its input.
 from __future__ import annotations
 
 import gc
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
@@ -41,14 +42,20 @@ class Rule:
         return 2 * self.radius + 1
 
 
-def _check_radius(radius: int) -> None:
-    if not 1 <= radius <= MAX_RADIUS:
-        raise ValueError(f"radius must be in 1..{MAX_RADIUS}, got {radius}")
+def as_count(value: object, name: str, low: int, high: int | None = None) -> int:
+    """`value` as an int in low..high (no upper bound if None), or ValueError naming it."""
+    if not hasattr(type(value), "__index__"):  # integers: what operator.index takes, numpy's too
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < low or high is not None and value > high:
+        raise ValueError(f"{name} must be >= {low}, got {value}" if high is None
+                         else f"{name} must be in {low}..{high}, got {value}")
+    return value
 
 
 def make_rule(radius: int, rule_number: int) -> Rule:
     """Build the lookup table for a Wolfram rule number at the given radius."""
-    _check_radius(radius)
+    radius = as_count(radius, "radius", 1, MAX_RADIUS)
     entries = 1 << (2 * radius + 1)
     limit = 1 << entries
     if not 0 <= rule_number < limit:
@@ -63,7 +70,7 @@ def make_rule(radius: int, rule_number: int) -> Rule:
 
 def rule_from_table(radius: int, table: np.ndarray) -> Rule:
     """Build a Rule from an explicit entry array (entry p = bit p of the number)."""
-    _check_radius(radius)
+    radius = as_count(radius, "radius", 1, MAX_RADIUS)
     table = np.asarray(table)
     entries = 1 << (2 * radius + 1)
     if table.shape != (entries,):
@@ -185,8 +192,7 @@ def iterate(
     steps: int,
 ) -> np.ndarray:
     """`steps`-fold composition of `step`; steps=0 returns the input unchanged."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    steps = as_count(steps, "steps", 0)
     out = as_cells(config)
     for _ in range(steps):
         out = step(out, rules, boundary)
@@ -203,7 +209,7 @@ def state_to_int(config: np.ndarray) -> int:
 
 def int_to_state(code: int, cells: int) -> np.ndarray:
     """Inverse of state_to_int; the code must lie in 0..2^cells - 1."""
-    if not 0 <= code < 1 << cells:
+    if not 0 <= code < 1 << (cells := as_count(cells, "cells", 1)):
         raise ValueError(f"state code {code} is out of range for {cells} cells")
     return np.unpackbits(np.frombuffer(code.to_bytes(-(-cells // 8), "big"), np.uint8))[-cells:]
 
@@ -214,13 +220,11 @@ def global_map(rules: Rule | Sequence[Rule], boundary: Boundary, cells: int) -> 
     Each block of codes is unpacked as big-endian uint32 into 32 bit columns.
     The last `cells` are stepped; the rest stay 0, as every code is below 2^cells.
     """
-    if cells > EXHAUSTIVE_CELL_LIMIT:
+    if (cells := as_count(cells, "cells", 1)) > EXHAUSTIVE_CELL_LIMIT:
         raise ValueError(
             f"refusing exhaustive enumeration over 2^{cells} states "
             f"(limit is {EXHAUSTIVE_CELL_LIMIT} cells)"
         )
-    if cells < 1:
-        raise ValueError("cells must be >= 1")
     succ = np.empty(1 << cells, dtype=np.int32)
     for lo in range(0, succ.size, _CODE_BLOCK):
         codes = np.arange(lo, min(lo + _CODE_BLOCK, succ.size), dtype=">u4")

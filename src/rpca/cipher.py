@@ -133,11 +133,8 @@ class CipherParams:
     caf_steps: int = DEFAULT_CAF_STEPS
 
     def __post_init__(self) -> None:
-        for name, low, high in (("rounds", MIN_ROUNDS, MAX_ROUNDS),
-                                ("caf_steps", MIN_CAF_STEPS, MAX_CAF_STEPS)):
-            value = getattr(self, name)  # integers: types with __index__, as operator.index takes
-            if not hasattr(type(value), "__index__") or not low <= value <= high:
-                raise ValueError(f"{name} must be an integer in {low}..{high}, got {value!r}")
+        ca.as_count(self.rounds, "rounds", MIN_ROUNDS, MAX_ROUNDS)
+        ca.as_count(self.caf_steps, "caf_steps", MIN_CAF_STEPS, MAX_CAF_STEPS)
 
 
 @dataclass(frozen=True)
@@ -216,8 +213,7 @@ def _round_materials(raw_key: bytes) -> np.ndarray:
 
 def _round_schedule(key: SecretKey, round_index: int) -> np.ndarray:
     """Round `round_index` of the key's schedule, as a (1, 8, 16) slice."""
-    if not 0 <= round_index < MAX_ROUNDS:
-        raise ValueError(f"round_index must be in 0..{MAX_ROUNDS - 1}, got {round_index}")
+    round_index = ca.as_count(round_index, "round_index", 0, MAX_ROUNDS - 1)
     return key._key_schedule[round_index : round_index + 1]
 
 
@@ -524,7 +520,7 @@ def decrypt_stream(records: np.ndarray, key: SecretKey, params: CipherParams) ->
 
 def os_rid_source(n: int = 1) -> bytes:
     """n fresh rids, 16 bytes each, from the operating system's entropy pool."""
-    return secrets.token_bytes(BLOCK_BYTES * n)
+    return secrets.token_bytes(BLOCK_BYTES * ca.as_count(n, "rid count", 0))
 
 
 class SeededRidSource:
@@ -540,8 +536,7 @@ class SeededRidSource:
         self._lock = threading.Lock()
 
     def __call__(self, n: int = 1) -> bytes:
-        if n < 0:
-            raise ValueError(f"rid count must be >= 0, got {n}")
+        n = ca.as_count(n, "rid count", 0)
         with self._lock:
             start = self._counter
             self._counter += n

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ca import as_count
 from .cipher import BLOCK_BYTES, RECORD_BYTES, CipherParams
 
 MAGIC = b"RPC1"
@@ -63,10 +64,9 @@ class ContainerHeader:
     def validate(self) -> None:
         try:
             CipherParams(self.rounds, self.caf_steps)
+            as_count(self.plaintext_length, "plaintext_length", 0, (1 << 64) - 1)
         except ValueError as exc:
             raise ContainerValidationError(f"header: {exc}") from exc
-        if self.plaintext_length < 0:
-            raise ContainerValidationError("plaintext_length must be >= 0")
 
 
 def write_container(header: ContainerHeader, records: np.ndarray) -> bytes:

@@ -127,8 +127,7 @@ def pca_run(
     steps: int,
 ) -> np.ndarray:
     """Iterate a control program; step t uses the program's row t."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    steps = ca.as_count(steps, "steps", 0)
     out = ca.as_cells(config)
     for t in range(steps):
         out = pca_step(out, program.at(t), table, boundary)

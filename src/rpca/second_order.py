@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ca import MAX_RADIUS, Boundary, Rule, as_cells, step_many
+from .ca import MAX_RADIUS, Boundary, Rule, as_cells, as_count, step_many
 
 
 class SecondOrderState(NamedTuple):
@@ -42,8 +42,7 @@ def so_iterate_forward(
     state: SecondOrderState, rule: Rule, boundary: Boundary, steps: int
 ) -> SecondOrderState:
     """Apply `steps` second-order updates (steps >= 1)."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = as_count(steps, "steps", 1)
     prev, curr = (as_cells(half) for half in state)
     if prev.shape != curr.shape:
         raise ValueError(f"prev/curr shapes differ: {prev.shape} vs {curr.shape}")
@@ -102,20 +101,21 @@ def so_iterate_packed(
     configurations and rows 0 and n_bytes + 1 mirror the cyclic wrap. The `.T`
     of C-ordered (n_bytes, m) rows, as the cipher passes, loads untransposed.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = as_count(steps, "steps", 1)
     prev, curr = np.asarray(prev), np.asarray(curr)
     if prev.shape != curr.shape or not prev.ndim or not prev.shape[-1]:
         raise ValueError(f"prev/curr shapes differ or hold no bytes: {prev.shape} vs {curr.shape}")
-    for half in (prev, curr):  # a uint8 cast would wrap 256 to 0 and -1 to 255
-        if half.dtype != np.uint8 and len(bad := np.argwhere((half < 0) | (half > 255))):
-            at = tuple(bad[0].tolist())
-            raise ValueError(f"byte {at[0] if len(at) == 1 else at} must be in 0..255, "
-                             f"got {half[at]}")
+    for half in (prev, curr):  # a uint8 cast would wrap 256 to 0 and -1 to 255, and cut 1.5 to 1
+        if half.dtype != np.uint8:
+            if len(bad := np.argwhere((half < 0) | (half > 255) | (half % 1 != 0))):
+                at = tuple(bad[0].tolist())
+                raise ValueError(f"byte {at[0] if len(at) == 1 else at} must be in 0..255, "
+                                 f"got {half[at]}")
     prev, curr = prev.astype(np.uint8, copy=False), curr.astype(np.uint8, copy=False)
     radius = (table.size.bit_length() - 9) // 2
-    if not 1 <= radius <= MAX_RADIUS or table.shape != (1 << (8 + 2 * radius),):
-        raise ValueError(f"not a packed rule table: shape {table.shape}")
+    if (not 1 <= radius <= MAX_RADIUS or table.shape != (1 << (8 + 2 * radius),)
+            or table.dtype != np.uint8):
+        raise ValueError(f"not a packed rule table: {table.dtype} shape {table.shape}")
     mask = np.array(table.size - 1, np.uint16)
     n, m = prev.shape[-1], prev.size // prev.shape[-1]
     rows = prev.reshape(m, n).T, curr.reshape(m, n).T

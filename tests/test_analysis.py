@@ -127,6 +127,11 @@ class TestThroughputBench:
         with pytest.raises(ValueError, match=f"workers must be in 1..{MAX_WORKERS}"):
             throughput_bench(key_for(0), PARAMS, workers=workers, rng=NoDraws())
 
+    def test_fractional_megabytes_rejected_before_drawing(self):
+        # megabytes=1.5 was accepted and reported as 1.5
+        with pytest.raises(ValueError, match="megabytes must be an integer, got 1.5"):
+            throughput_bench(key_for(0), PARAMS, megabytes=1.5, workers=1, rng=NoDraws())
+
     @pytest.mark.parametrize("megabytes", [MAX_MEGABYTES + 1, 10**7])
     def test_megabytes_above_the_cap_rejected_before_drawing(self, megabytes):
         with pytest.raises(ValueError, match=f"megabytes must be in 1..{MAX_MEGABYTES}"):

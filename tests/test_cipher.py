@@ -728,6 +728,13 @@ class TestRidSources:
         with pytest.raises(ValueError, match=">= 0"):
             SeededRidSource(b"n")(-1)
 
+    def test_rejected_count_leaves_the_counter_alone(self):
+        # the counter used to advance by 1.5 before range() failed, so every later call failed
+        source = SeededRidSource(b"n")
+        with pytest.raises(ValueError, match="rid count must be an integer, got 1.5"):
+            source(1.5)
+        assert source(1) == SeededRidSource(b"n")(1)
+
     def test_threads_draw_disjoint_ranges(self):
         # more threads than cores and a short switch interval, so a counter
         # update lost between threads would hand two batches the same rids

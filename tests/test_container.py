@@ -130,6 +130,14 @@ class TestRejection:
         with pytest.raises(ContainerValidationError):
             ContainerHeader(1, 4, -1).validate()
 
+    @pytest.mark.parametrize("length", [1.5, "3", None])
+    def test_write_rejects_a_non_integer_plaintext_length(self, length):
+        # 1.5 raised struct.error and the others TypeError, none of them a ContainerError
+        records = encrypt_stream(b"abc", KEY, PARAMS, SeededRidSource(b"c"))
+        header = ContainerHeader(PARAMS.rounds, PARAMS.caf_steps, length)
+        with pytest.raises(ContainerValidationError, match="plaintext_length must be an integer"):
+            write_container(header, records)
+
     @pytest.mark.parametrize("rounds,caf_steps", [(10.5, 4), ("10", 4), (10, 4.0)])
     def test_header_validate_non_integer_params(self, rounds, caf_steps):
         with pytest.raises(ContainerValidationError, match="must be an integer"):

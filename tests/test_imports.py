@@ -1,7 +1,8 @@
 """Every name a module in src/ or tests/ imports must be used in that module,
 every private module-level name in src/rpca must be read somewhere in src/, and
 every top-level function in tests/helpers.py must be read by a test module, by
-perfbench/ or by another helper.
+perfbench/ or by another helper, and the messages of a count check ("must be an
+integer", "must be >=") must appear in src/rpca only inside `ca.as_count`.
 
 The checks read source with the standard library's `ast` only: an imported
 name counts as used when it appears as a name anywhere in the module (an
@@ -96,6 +97,48 @@ def test_no_dead_private_helpers():
         if name not in read
     ]
     assert not found, "private names nothing in src/ reads:\n" + "\n".join(found)
+
+
+COUNT_PHRASES = ("must be an integer", "must be >=")
+
+
+def phrase_sites(source: str, phrases: tuple[str, ...]) -> list[tuple[int, str]]:
+    """Line and innermost enclosing function ("" at module level) of each string
+    constant, f-string parts included, that holds one of `phrases`."""
+    tree = ast.parse(source)
+    owner = {}
+    for fn in ast.walk(tree):  # breadth first, so a nested function overwrites its parent
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+    return sorted(
+        (node.lineno, owner.get(node, ""))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and any(phrase in node.value for phrase in phrases)
+    )
+
+
+def test_finds_a_hand_written_count_check():
+    source = (
+        'def as_count(v):\n    raise ValueError(f"{v} must be an integer")\n'
+        "class P:\n    def check(self, n):\n        if n < 0:\n"
+        '            raise ValueError(f"n must be >= 0, got {n}")\n'
+        'LIMIT = "steps must be >= 1"\n'
+        'def f():\n    def g():\n        return "x must be an integer"\n    return "ok"\n'
+    )
+    assert phrase_sites(source, COUNT_PHRASES) == [(2, "as_count"), (6, "check"), (7, ""),
+                                                   (10, "g")]
+
+
+def test_count_checks_live_only_in_as_count():
+    # every count argument goes through ca.as_count; a second check would grow its own message
+    sites = [(path, line, fn) for path in PACKAGE
+             for line, fn in phrase_sites(path.read_text(), COUNT_PHRASES)]
+    home = ROOT / "src" / "rpca" / "ca.py", "as_count"
+    assert len([site for site in sites if site[::2] == home]) == len(COUNT_PHRASES)
+    found = [f"{path.relative_to(ROOT)}:{line}: in {fn or 'module'}"
+             for path, line, fn in sites if (path, fn) != home]
+    assert not found, "count checks outside ca.as_count:\n" + "\n".join(found)
 
 
 def unread_functions(source: str, read_elsewhere: set[str]) -> list[tuple[int, str]]:

@@ -285,6 +285,20 @@ class TestIteratePacked:
             with pytest.raises(ValueError, match=message):
                 so_iterate_packed(pair["prev"][rows], pair["curr"][rows], table, 1)
 
+    @pytest.mark.parametrize("half", ["prev", "curr"])
+    def test_non_integer_byte_rejected_in_either_half(self, half):
+        # a uint8 cast stepped [[1.5, 2.7]] as [[1, 2]]
+        pair = {"prev": np.zeros((1, 2)), "curr": np.zeros((1, 2))}
+        pair[half][0] = [1.5, 2.7]
+        with pytest.raises(ValueError, match=re.escape("byte (0, 0) must be in 0..255, got 1.5")):
+            so_iterate_packed(pair["prev"], pair["curr"], packed_rule_table(RULE_204), 1)
+
+    def test_table_that_is_not_uint8_rejected(self):
+        # take(out=uint8) cast the entries, so this table stepped to wrong bytes
+        table = packed_rule_table(RULE_204).astype(np.uint16) * 300
+        with pytest.raises(ValueError, match="not a packed rule table: uint16"):
+            so_iterate_packed(np.zeros(2, np.uint8), np.ones(2, np.uint8), table, 1)
+
     def test_integer_rows_in_range_step_as_bytes(self):
         table = packed_rule_table(ca.make_rule(2, 0x9A3C5F01))
         rng = np.random.default_rng(7)
