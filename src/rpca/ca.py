@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -44,9 +44,10 @@ class Rule:
 
 def as_count(value: object, name: str, low: int, high: int | None = None) -> int:
     """`value` as an int in low..high (no upper bound if None), or ValueError naming it."""
-    if not hasattr(type(value), "__index__"):  # integers: what operator.index takes, numpy's too
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = operator.index(value)
+    try:  # integers: what operator.index takes, numpy's and 0-d integer arrays too
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if value < low or high is not None and value > high:
         raise ValueError(f"{name} must be >= {low}, got {value}" if high is None
                          else f"{name} must be in {low}..{high}, got {value}")
@@ -102,26 +103,7 @@ def complement_rule(rule: Rule) -> Rule:
     return rule_from_table(rule.radius, 1 - rule.table)
 
 
-def _as_table_stack(rules: Rule | Sequence[Rule], cells: int) -> tuple[np.ndarray, int, bool]:
-    """Normalize a uniform rule or per-cell vector to (tables end to end, radius, uniform)."""
-    if isinstance(rules, Rule):
-        return rules.table, rules.radius, True
-    vec = list(rules)
-    if not vec:
-        raise ValueError("rule vector is empty")
-    radius = vec[0].radius
-    if any(r.radius != radius for r in vec):
-        raise ValueError("all rules in a vector must share one radius")
-    if len(vec) == 1:
-        return vec[0].table, radius, True
-    if len(vec) != cells:
-        raise ValueError(
-            f"rule vector has {len(vec)} entries; need 1 or {cells} for {cells} cells"
-        )
-    return np.concatenate([r.table for r in vec]), radius, False
-
-
-def neighborhood_index(states: np.ndarray, radius: int, boundary: Boundary) -> np.ndarray:
+def _neighborhood_index(states: np.ndarray, radius: int, boundary: Boundary) -> np.ndarray:
     """Per-cell neighborhood pattern indices, vectorized over leading axes.
 
     `states` has shape (..., n); the result has the same shape with values in
@@ -130,8 +112,7 @@ def neighborhood_index(states: np.ndarray, radius: int, boundary: Boundary) -> n
     n = states.shape[-1]
     ext = np.zeros(states.shape[:-1] + (n + 2 * radius,), np.uint8)  # null edges read 0
     ext[..., radius : radius + n] = states
-    # `is` first spares the cyclic path an Enum call per step
-    if boundary is Boundary.CYCLIC or Boundary(boundary) is Boundary.CYCLIC:
+    if boundary is Boundary.CYCLIC:
         for _ in range(0, radius, n):  # ceil(r / n) passes, each wrapping n more columns in
             ext[..., :radius] = ext[..., n : n + radius]
             ext[..., n + radius :] = ext[..., radius : 2 * radius]
@@ -141,6 +122,35 @@ def neighborhood_index(states: np.ndarray, radius: int, boundary: Boundary) -> n
         idx += idx  # numpy vectorises a uint8 add, not a uint8 shift
         np.bitwise_or(idx, ext[..., k : k + n], out=idx)
     return idx
+
+
+def _stepper(
+    rules: Rule | Sequence[Rule], boundary: Boundary, shape: tuple[int, ...]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """One synchronous update of checked uint8 batches of n cells, n being `shape`'s last axis.
+
+    The shape, rule vector and boundary are checked and the tables laid end to
+    end here, once, so a walk that applies the step many times pays none of it per step.
+    """
+    if not shape or not (n := shape[-1]):
+        raise ValueError(f"configurations need at least one cell, got shape {shape}")
+    vec = [rules] if isinstance(rules, Rule) else list(rules)
+    if len(vec) not in (1, n):
+        raise ValueError(f"rule vector has {len(vec)} entries; need 1 or {n} for {n} cells")
+    radius = vec[0].radius
+    if any(r.radius != radius for r in vec):
+        raise ValueError("all rules in a vector must share one radius")
+    boundary = Boundary(boundary)
+    tables, offsets = vec[0].table, None
+    if len(vec) > 1:  # cell i's table starts at i * 2^(2r+1); uint16 offsets while they fit
+        tables = np.concatenate([r.table for r in vec])
+        offsets = np.arange(0, tables.size, tables.size // n,
+                            dtype=np.uint16 if tables.size <= 1 << 16 else np.intp)
+
+    def step(states: np.ndarray) -> np.ndarray:
+        idx = _neighborhood_index(states, radius, boundary)
+        return tables.take(idx if offsets is None else idx + offsets, mode="clip")
+    return step
 
 
 def as_cells(states: np.ndarray) -> np.ndarray:
@@ -166,23 +176,13 @@ def as_config(config: np.ndarray) -> np.ndarray:
 def step_many(states: np.ndarray, rules: Rule | Sequence[Rule], boundary: Boundary) -> np.ndarray:
     """Synchronous update of a (..., n) batch of configurations of 0/1 cells."""
     states = as_cells(states)
-    if not states.ndim or not states.shape[-1]:
-        raise ValueError(f"configurations need at least one cell, got shape {states.shape}")
-    n = states.shape[-1]
-    tables, radius, uniform = _as_table_stack(rules, n)
-    idx = neighborhood_index(states, radius, boundary)
-    if not uniform:  # cell i's table starts at i * 2^(2r+1); uint16 offsets while they fit
-        dtype = np.uint16 if tables.size <= 1 << 16 else np.intp
-        idx = idx + np.arange(0, tables.size, tables.size // n, dtype=dtype)
-    return tables.take(idx, mode="clip")
+    return _stepper(rules, boundary, states.shape)(states)
 
 
 def step(config: np.ndarray, rules: Rule | Sequence[Rule], boundary: Boundary) -> np.ndarray:
     """One synchronous update of a single configuration; returns a new array."""
-    config = np.asarray(config)
-    if config.ndim != 1:
-        raise ValueError(f"configuration must be a 1-D cell array, got shape {config.shape}")
-    return step_many(config, rules, boundary)
+    config = as_config(config)
+    return _stepper(rules, boundary, config.shape)(config)
 
 
 def iterate(
@@ -191,11 +191,12 @@ def iterate(
     boundary: Boundary,
     steps: int,
 ) -> np.ndarray:
-    """`steps`-fold composition of `step`; steps=0 returns the input unchanged."""
+    """`steps`-fold composition of `step`; steps=0 checks the arguments and returns the input."""
     steps = as_count(steps, "steps", 0)
-    out = as_cells(config)
+    out = as_config(config)
+    step_once = _stepper(rules, boundary, out.shape)
     for _ in range(steps):
-        out = step(out, rules, boundary)
+        out = step_once(out)
     return out
 
 
@@ -209,7 +210,9 @@ def state_to_int(config: np.ndarray) -> int:
 
 def int_to_state(code: int, cells: int) -> np.ndarray:
     """Inverse of state_to_int; the code must lie in 0..2^cells - 1."""
-    if not 0 <= code < 1 << (cells := as_count(cells, "cells", 1)):
+    cells = as_count(cells, "cells", 1)
+    code = as_count(code, "state code", float("-inf"))  # its range is checked below, naming cells
+    if not 0 <= code < 1 << cells:
         raise ValueError(f"state code {code} is out of range for {cells} cells")
     return np.unpackbits(np.frombuffer(code.to_bytes(-(-cells // 8), "big"), np.uint8))[-cells:]
 
@@ -220,17 +223,14 @@ def global_map(rules: Rule | Sequence[Rule], boundary: Boundary, cells: int) -> 
     Each block of codes is unpacked as big-endian uint32 into 32 bit columns.
     The last `cells` are stepped; the rest stay 0, as every code is below 2^cells.
     """
-    if (cells := as_count(cells, "cells", 1)) > EXHAUSTIVE_CELL_LIMIT:
-        raise ValueError(
-            f"refusing exhaustive enumeration over 2^{cells} states "
-            f"(limit is {EXHAUSTIVE_CELL_LIMIT} cells)"
-        )
+    cells = as_count(cells, "cells", 1, EXHAUSTIVE_CELL_LIMIT)
+    step_block = _stepper(rules, boundary, (cells,))
     succ = np.empty(1 << cells, dtype=np.int32)
     for lo in range(0, succ.size, _CODE_BLOCK):
         codes = np.arange(lo, min(lo + _CODE_BLOCK, succ.size), dtype=">u4")
         bits = np.unpackbits(codes.view(np.uint8)).reshape(-1, 32)
         configs = bits[:, 32 - cells :]
-        configs[...] = step_many(configs, rules, boundary)
+        configs[...] = step_block(configs)
         succ[lo : lo + codes.size] = np.packbits(bits).view(">u4")
     return succ
 

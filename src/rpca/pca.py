@@ -143,15 +143,11 @@ def _half_turn(state: np.ndarray, rules: Rule | Sequence[Rule], boundary: Bounda
     odd length.
     """
     current = ca.as_config(state)
-    cells = current.shape[0]
-    if cells > ca.EXHAUSTIVE_CELL_LIMIT:
-        raise ValueError(
-            f"orbit walks are limited to {ca.EXHAUSTIVE_CELL_LIMIT} cells "
-            f"(exhaustive-scale check), got {cells}"
-        )
+    ca.as_count(current.shape[0], "orbit walk cells", 1, ca.EXHAUSTIVE_CELL_LIMIT)
+    step = ca._stepper(rules, boundary, current.shape)
     visited = {current.tobytes(): current}  # states by their bytes, in the order visited
     while True:  # ends within 2^cells steps, since some state must repeat
-        current = ca.step(current, rules, boundary)
+        current = step(current)
         key = current.tobytes()
         if key in visited:
             break

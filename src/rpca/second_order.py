@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ca import MAX_RADIUS, Boundary, Rule, as_cells, as_count, step_many
+from .ca import MAX_RADIUS, Boundary, Rule, _stepper, as_cells, as_count
 
 
 class SecondOrderState(NamedTuple):
@@ -46,8 +46,9 @@ def so_iterate_forward(
     prev, curr = (as_cells(half) for half in state)
     if prev.shape != curr.shape:
         raise ValueError(f"prev/curr shapes differ: {prev.shape} vs {curr.shape}")
+    step = _stepper(rule, boundary, curr.shape)
     for _ in range(steps):
-        new = step_many(curr, rule, boundary)  # fresh array, safe to update in place
+        new = step(curr)  # fresh array, safe to update in place
         np.bitwise_xor(new, prev, out=new)
         np.bitwise_xor(new, 1, out=new)  # rule output XNOR previous state
         prev, curr = curr, new

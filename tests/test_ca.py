@@ -282,6 +282,14 @@ class TestIterate:
         with pytest.raises(ValueError):
             ca.iterate(ca.parse_bits("0"), ca.make_rule(1, 0), Boundary.NULL, -1)
 
+    def test_zero_steps_checks_rules_and_boundary(self):
+        # with no step to take, the input used to come back unchecked
+        cfg = ca.parse_bits("101")
+        with pytest.raises(ValueError, match="rule vector has 4 entries; need 1 or 3"):
+            ca.iterate(cfg, vector(51, 51, 195, 153), Boundary.NULL, 0)
+        with pytest.raises(ValueError, match="torus"):
+            ca.iterate(cfg, ca.make_rule(1, 30), "torus", 0)
+
 
 class TestClosedForms:
     # output of each reversible rule as a function of (left, center, right)

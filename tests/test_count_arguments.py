@@ -45,6 +45,7 @@ CASES = {
     "iterate": ("steps", 3, lambda v: ca.iterate(CONFIG, RULE, Boundary.CYCLIC, v)),
     "global_map": ("cells", 3, lambda v: ca.global_map(RULE, Boundary.NULL, v)),
     "int_to_state": ("cells", 3, lambda v: ca.int_to_state(5, v)),
+    "int_to_state.code": ("state code", 5, lambda v: ca.int_to_state(v, 4)),
     "so_iterate_forward": (
         "steps", 3, lambda v: second_order.so_iterate_forward(PAIR, RULE, Boundary.NULL, v)),
     "so_iterate_backward": (
@@ -70,7 +71,7 @@ CASES = {
 
 
 @pytest.mark.parametrize("site,bad", [
-    (site, bad) for site in CASES for bad in (1.5, 10.0, "3", None)
+    (site, bad) for site in CASES for bad in (1.5, 10.0, "3", None, np.array(2.5))
     if (site, bad) != ("throughput_bench.workers", None)  # None: one worker per CPU
 ])
 def test_non_integer_count_rejected_by_name(site, bad):
@@ -80,7 +81,7 @@ def test_non_integer_count_rejected_by_name(site, bad):
         call(bad)
 
 
-@pytest.mark.parametrize("numpy_int", [np.int64, np.uint16])
+@pytest.mark.parametrize("numpy_int", [np.int64, np.uint16, np.array])  # np.array: 0-d
 @pytest.mark.parametrize("site", CASES)
 def test_numpy_integer_count_acts_as_the_int(site, numpy_int):
     _, good, call = CASES[site]

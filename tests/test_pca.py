@@ -19,6 +19,8 @@ from rpca.pca import (
     select_rule,
 )
 
+from helpers import naive_step
+
 LEGACY_VECTOR = [ca.make_rule(1, n) for n in (51, 51, 195, 153)]
 
 # control pairs inducing each published rule vector
@@ -177,17 +179,57 @@ class TestCycleCipher:
             assert not np.array_equal(enc, cfg)  # every orbit here has length 4
 
     def test_round_trip_steps_each_orbit_once(self, monkeypatch):
-        calls, step = [], ca.step
+        builds, calls, stepper = [], [], ca._stepper
 
-        def counting_step(*args):
-            calls.append(args)
-            return step(*args)
+        def counting_stepper(*args):
+            builds.append(args)
+            step = stepper(*args)
 
-        monkeypatch.setattr(ca, "step", counting_step)
+            def counting_step(states):
+                calls.append(states)
+                return step(states)
+            return counting_step
+
+        monkeypatch.setattr(ca, "_stepper", counting_stepper)
         cfg = ca.parse_bits("0000")
         enc = cycle_encipher(cfg, LEGACY_VECTOR, Boundary.NULL)
+        assert len(builds) == 1  # the walk builds its step once
         assert np.array_equal(cycle_decipher(enc, LEGACY_VECTOR, Boundary.NULL), cfg)
+        assert len(builds) == 2
         assert len(calls) == 2 * 4  # one walk of the length-4 orbit per call
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_walks_match_naive_oracle(self, radius, boundary):
+        # iterate and the half-turn walk build their step once; widths 1..2r+2 wrap the
+        # ring once or more, under a per-cell vector and a uniform rule
+        rng = np.random.default_rng(radius)
+        even = 0
+        for n in range(1, 2 * radius + 3):
+            numbers = [int.from_bytes(rng.bytes(1 << (2 * radius - 2)), "little")
+                       for _ in range(n)]
+            for nums in (numbers, numbers[:1]):
+                rules = [ca.make_rule(radius, m) for m in nums]
+                states = [ca.int_to_state(code, n).tolist() for code in range(1 << n)]
+                succ = [ca.state_to_int(np.array(naive_step(c, nums, radius, boundary.value),
+                                                 np.uint8)) for c in states]
+                for code, cells in enumerate(states):
+                    k, far = code % 7, code
+                    for _ in range(k):
+                        far = succ[far]
+                    got = ca.iterate(np.array(cells, np.uint8), rules, boundary, k)
+                    assert ca.state_to_int(got) == far, (n, len(nums), code, k)
+                    orbit = [code]
+                    while succ[orbit[-1]] not in orbit:
+                        orbit.append(succ[orbit[-1]])
+                    if succ[orbit[-1]] != code or len(orbit) % 2:
+                        with pytest.raises(UnsupportedOrbitError):
+                            cycle_encipher(np.array(cells, np.uint8), rules, boundary)
+                        continue
+                    even += 1
+                    got = cycle_encipher(np.array(cells, np.uint8), rules, boundary)
+                    assert ca.state_to_int(got) == orbit[len(orbit) // 2], (n, len(nums), code)
+        assert even
 
     def test_transient_state_rejected(self):
         rules = [ca.make_rule(1, n) for n in (204, 204, 240, 170)]
