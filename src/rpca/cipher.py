@@ -475,7 +475,8 @@ def _encrypt_padded(
     rid_rows = np.frombuffer(rids, dtype=np.uint8).reshape(n_blocks, BLOCK_BYTES)
     cipher_bytes, final_bytes = _caf_forward(y.T, rid_rows, key, params.caf_steps)
     masked = final_bytes ^ np.frombuffer(key.caf_segment, dtype=np.uint8)
-    records = np.concatenate([cipher_bytes, masked], axis=1)
+    records = np.empty((n_blocks, RECORD_BYTES), np.uint8)  # row-major: written out in one copy
+    np.concatenate([cipher_bytes, masked], axis=1, out=records)
     records.flags.writeable = False
     return records
 

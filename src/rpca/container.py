@@ -86,7 +86,7 @@ def write_container(header: ContainerHeader, records: np.ndarray) -> bytes:
     packed = _HEADER_STRUCT.pack(
         MAGIC, VERSION, header.rounds, header.caf_steps, header.plaintext_length, _RESERVED
     )
-    return packed + records.tobytes()
+    return b"".join((packed, np.ascontiguousarray(records)))  # one copy of the records
 
 
 def read_container(data: bytes) -> tuple[ContainerHeader, np.ndarray]:

@@ -10,7 +10,7 @@ serious cipher.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,9 +30,10 @@ class SelectionTable:
     rules: Mapping[tuple[int, int], int]
 
     def __post_init__(self) -> None:
-        missing = {(a, b) for a in (0, 1) for b in (0, 1)} - set(self.rules)
-        if missing:
-            raise ValueError(f"selection table is missing control pairs: {sorted(missing)}")
+        if set(self.rules) != {(a, b) for a in (0, 1) for b in (0, 1)}:
+            raise ValueError(f"selection table keys must be (0, 0)..(1, 1), got {[*self.rules]}")
+        for number in self.rules.values():  # make_rule checks the radius and the number
+            ca.make_rule(self.radius, number)
 
     def rule(self, c1: int, c2: int) -> Rule:
         return ca.make_rule(self.radius, select_rule(self, c1, c2))
@@ -98,11 +99,22 @@ class ControlProgram:
 def induced_rule_vector(
     controls: np.ndarray | ControlProgram, table: SelectionTable
 ) -> list[Rule]:
-    """Rule vector obtained by looking up each cell's control pair."""
+    """Rule vector obtained by looking up each cell's control pair; a ControlProgram gives row 0."""
     sig = controls.at(0) if isinstance(controls, ControlProgram) else np.asarray(controls)
     if sig.ndim != 2 or sig.shape[1] != 2:
         raise ValueError(f"controls must have shape (cells, 2), got {sig.shape}")
-    return [table.rule(int(c1), int(c2)) for c1, c2 in _control_bits(sig)]
+    rules = [table.rule(c1, c2) for c1 in (0, 1) for c2 in (0, 1)]  # by control code 2*c1 + c2
+    return [rules[code] for code in (_control_bits(sig) @ (2, 1)).tolist()]
+
+
+def _control_stepper(
+    controls: np.ndarray | ControlProgram, table: SelectionTable, boundary: Boundary, cells: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The `ca._stepper` step for the rule vector that `controls` induce on `cells` cells."""
+    rules = induced_rule_vector(controls, table)
+    if len(rules) != cells:
+        raise ValueError(f"controls width {len(rules)} != cell count {cells}")
+    return ca._stepper(rules, boundary, (cells,))
 
 
 def pca_step(
@@ -113,10 +125,7 @@ def pca_step(
 ) -> np.ndarray:
     """One step under the rule vector induced by the control signals."""
     config = ca.as_config(config)
-    rules = induced_rule_vector(controls, table)
-    if len(rules) != config.shape[0]:
-        raise ValueError(f"controls width {len(rules)} != cell count {config.shape[0]}")
-    return ca.step(config, rules, boundary)
+    return _control_stepper(controls, table, boundary, config.size)(config)
 
 
 def pca_run(
@@ -126,11 +135,13 @@ def pca_run(
     boundary: Boundary,
     steps: int,
 ) -> np.ndarray:
-    """Iterate a control program; step t uses the program's row t."""
+    """Iterate a control program, step t under row t % period; steps=0 checks the arguments."""
     steps = ca.as_count(steps, "steps", 0)
-    out = ca.as_cells(config)
+    out = ca.as_config(config)
+    rows = program.signals.reshape(-1, program.cells, 2)  # (period, cells, 2)
+    step_rows = [_control_stepper(row, table, boundary, out.size) for row in rows[: steps or 1]]
     for t in range(steps):
-        out = pca_step(out, program.at(t), table, boundary)
+        out = step_rows[t % len(rows)](out)
     return out
 
 

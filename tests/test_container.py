@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,27 @@ class TestRoundTrip:
         header, records = read_container(blob)
         assert header.plaintext_length == len(data)
         assert write_container(header, records) == blob
+
+    def test_write_copies_the_records_once(self):
+        # tobytes() and then header + body held two copies at once, and so did a
+        # column-major record array, which encrypt_stream used to return
+        data = bytes((1 << 20) - 1)
+        records = encrypt_stream(data, KEY, PARAMS, SeededRidSource(b"c"))  # 2 MiB
+        header = ContainerHeader(PARAMS.rounds, PARAMS.caf_steps, len(data))
+        tracemalloc.start()
+        try:
+            blob = write_container(header, records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * records.nbytes
+        assert blob[18:] == records.tobytes()
+
+    def test_strided_record_array_writes_its_rows(self):
+        records = encrypt_stream(bytes(100), KEY, PARAMS, SeededRidSource(b"c"))[::-1]
+        header = ContainerHeader(PARAMS.rounds, PARAMS.caf_steps, 100)
+        for layout in (records, np.asfortranarray(records)):
+            assert write_container(header, layout)[18:] == records.tobytes()
 
 
 class TestRejection:

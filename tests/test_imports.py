@@ -1,8 +1,9 @@
 """Every name a module in src/ or tests/ imports must be used in that module,
 every private module-level name in src/rpca must be read somewhere in src/, and
 every top-level function in tests/helpers.py must be read by a test module, by
-perfbench/ or by another helper, and the messages of a count check ("must be an
-integer", "must be >=") must appear in src/rpca only inside `ca.as_count`.
+perfbench/ or by another helper, the messages of a count check ("must be an
+integer", "must be >=") must appear in src/rpca only inside `ca.as_count`, and no
+loop in src/rpca may call a one-shot step API.
 
 The checks read source with the standard library's `ast` only: an imported
 name counts as used when it appears as a name anywhere in the module (an
@@ -139,6 +140,76 @@ def test_count_checks_live_only_in_as_count():
     found = [f"{path.relative_to(ROOT)}:{line}: in {fn or 'module'}"
              for path, line, fn in sites if (path, fn) != home]
     assert not found, "count checks outside ca.as_count:\n" + "\n".join(found)
+
+
+ONE_SHOT_STEPS = {"ca.step", "ca.step_many", "pca.pca_step", "second_order.so_step"}
+
+
+def repeated_parts(loop: ast.AST) -> list[ast.AST]:
+    """What a loop evaluates on every pass: a `for` or `while` body, a `while` test,
+    a comprehension's element and conditions; [] for any other node."""
+    if isinstance(loop, (ast.For, ast.AsyncFor)):
+        return loop.body
+    if isinstance(loop, ast.While):
+        return [loop.test, *loop.body]
+    if isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        parts = [loop.key, loop.value] if isinstance(loop, ast.DictComp) else [loop.elt]
+        return parts + [cond for gen in loop.generators for cond in gen.ifs]
+    return []
+
+
+def one_shot_steps_in_loops(source: str, module: str) -> list[tuple[int, str]]:
+    """Line and qualified name of each call to one of ONE_SHOT_STEPS that a loop repeats.
+
+    A called name resolves through the module's `from` imports (`from . import ca`,
+    `from .ca import step`) and its own top-level functions, so a walk names the
+    step it built after none of them (`step_once`, `step_block`).
+    """
+    tree = ast.parse(source)
+    names = {node.name: f"{module}.{node.name}" for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                names[alias.asname or alias.name] = ".".join(filter(None, [node.module,
+                                                                           alias.name]))
+    found = set()
+    for loop in ast.walk(tree):
+        for call in (node for part in repeated_parts(loop) for node in ast.walk(part)):
+            if not isinstance(call, ast.Call):
+                continue
+            func, attr = call.func, None
+            if isinstance(func, ast.Attribute):
+                func, attr = func.value, func.attr
+            if isinstance(func, ast.Name) and func.id in names:
+                name = ".".join(filter(None, [names[func.id], attr]))
+                if name in ONE_SHOT_STEPS:
+                    found.add((call.lineno, name))
+    return sorted(found)
+
+
+def test_finds_a_one_shot_step_in_a_loop():
+    source = (
+        "from . import ca\nfrom .second_order import so_step as so\n"
+        "def pca_step(c): return ca.step(c)\n"
+        "def run(c, n):\n"
+        "    for _ in range(ca.step(c)):\n"
+        "        c = pca_step(c)\n"
+        "    while so(c):\n"
+        "        step = ca._stepper(c)\n"
+        "        c = [step(x) for x in c if ca.step_many(x)]\n"
+        "    return {x: ca.step(x) for x in c}\n"
+    )
+    assert one_shot_steps_in_loops(source, "pca") == [
+        (6, "pca.pca_step"), (7, "second_order.so_step"), (9, "ca.step_many"), (10, "ca.step")]
+
+
+def test_no_one_shot_step_in_a_loop():
+    # a walk builds its step once (ca._stepper) and applies it; a one-shot step
+    # called in a loop redoes the checks and the set-up on every pass
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}" for path in PACKAGE
+             for line, name in one_shot_steps_in_loops(path.read_text(), path.stem)]
+    assert not found, "one-shot steps called in a loop:\n" + "\n".join(found)
 
 
 def unread_functions(source: str, read_elsewhere: set[str]) -> list[tuple[int, str]]:

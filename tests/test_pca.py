@@ -55,6 +55,22 @@ class TestSelectionTables:
         with pytest.raises(ValueError):
             SelectionTable(radius=1, rules={(0, 0): 51})
 
+    EXTRA_KEY = re.escape("selection table keys must be (0, 0)..(1, 1), "
+                          "got [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]")
+
+    @pytest.mark.parametrize("radius,extra,message", [
+        (9, {(2, 2): 51}, EXTRA_KEY),
+        (1, {(2, 2): 51}, EXTRA_KEY),
+        (9, {}, "radius must be in 1..3, got 9"),
+        (0, {}, "radius must be in 1..3, got 0"),
+        (1, {(1, 1): 300}, re.escape("must be less than 2**8 = 256, got 300")),
+    ])
+    def test_bad_table_rejected_at_construction(self, radius, extra, message):
+        # these used to build, and a bad rule number failed only at its first lookup
+        rules = {**TABLE_51_195_153.rules, **extra}
+        with pytest.raises(ValueError, match=message):
+            SelectionTable(radius=radius, rules=rules)
+
 
 class TestPcaStep:
     def test_induces_published_reversible_vector(self):
@@ -129,6 +145,64 @@ class TestControlProgram:
     def test_empty_program_rejected(self, shape):
         with pytest.raises(ValueError, match=re.escape(str(shape))):
             ControlProgram(np.zeros(shape, np.uint8))
+
+    @pytest.mark.parametrize("table", [TABLE_51_195_153, TABLE_204_240_170])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_run_matches_naive_oracle(self, table, boundary):
+        # periods that do not divide the step count, fewer steps than rows, and a constant program
+        rng = np.random.default_rng(19)
+        for period, steps in ((2, 5), (3, 7), (4, 10), (5, 3), (None, 4)):
+            shape = (6, 2) if period is None else (period, 6, 2)
+            program = ControlProgram(rng.integers(0, 2, shape, dtype=np.uint8))
+            cells = rng.integers(0, 2, 6, dtype=np.uint8)
+            expected = cells.tolist()
+            for t in range(steps):
+                numbers = [select_rule(table, *pair) for pair in program.at(t).tolist()]
+                expected = naive_step(expected, numbers, 1, boundary.value)
+            got = pca.pca_run(cells, program, table, boundary, steps)
+            assert got.tolist() == expected, (period, steps)
+
+    def test_run_builds_each_row_step_once(self, monkeypatch):
+        builds, calls, stepper = [], [], ca._stepper
+
+        def counting_stepper(*args):
+            builds.append(args)
+            step = stepper(*args)
+
+            def counting_step(states):
+                calls.append(states)
+                return step(states)
+            return counting_step
+
+        monkeypatch.setattr(ca, "_stepper", counting_stepper)
+        cfg = ca.parse_bits("1011")
+        rows = ControlProgram(np.stack([CONTROLS_204_204_240_170, np.zeros((4, 2), np.uint8),
+                                        CONTROLS_51_51_195_153]))
+        constant = ControlProgram(CONTROLS_204_204_240_170)
+        runs = [(rows, 7, 3), (rows, 2, 2), (constant, 200, 1),
+                (rows, 0, 1)]  # steps=0 builds row 0 to check the arguments
+        for program, steps, built in runs:
+            pca.pca_run(cfg, program, TABLE_204_240_170, Boundary.CYCLIC, steps)
+            assert (len(builds), len(calls)) == (built, steps), (program.signals.ndim, steps)
+            builds.clear()
+            calls.clear()
+        pca_step(cfg, CONTROLS_204_204_240_170, TABLE_204_240_170, Boundary.NULL)
+        assert (len(builds), len(calls)) == (1, 1)
+
+    def test_zero_steps_checks_arguments(self):
+        # with no step to take, all three used to come back unchecked
+        program = ControlProgram(CONTROLS_51_51_195_153)
+
+        def run(cfg, boundary=Boundary.NULL):
+            return pca.pca_run(cfg, program, TABLE_51_195_153, boundary, 0)
+
+        with pytest.raises(ValueError, match=r"shape \(2, 4\)"):
+            run(np.zeros((2, 4), np.uint8))
+        with pytest.raises(ValueError, match="controls width 4 != cell count 3"):
+            run(ca.parse_bits("101"))
+        with pytest.raises(ValueError, match="bogus"):
+            run(ca.parse_bits("1011"), "bogus")
+        assert ca.format_bits(run(ca.parse_bits("1011"))) == "1011"
 
     def test_negative_step_count_rejected(self):
         prog = ControlProgram(CONTROLS_51_51_195_153)
