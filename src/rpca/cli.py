@@ -9,6 +9,7 @@ be reproduced; without it, randomness comes from the OS entropy pool.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import secrets
 import sys
@@ -51,13 +52,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _parse_seed(text: str) -> bytes:
+def _seed(text: str) -> bytes:
+    """`--seed`'s type: hex to bytes; argparse names the option in the error."""
     try:
         seed = bytes.fromhex(text)
     except ValueError:
-        raise UsageError(f"--seed must be hex characters, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be hex characters, got {text!r}") from None
     if not seed:
-        raise UsageError("--seed must not be empty")
+        raise argparse.ArgumentTypeError("must not be empty")
     return seed
 
 
@@ -106,10 +108,7 @@ def _write_atomic(path: Path, data: bytes, mode: int = 0o666) -> None:
 
 
 def _cmd_keygen(args) -> int:
-    if args.seed is not None:
-        key_bytes = SeededRidSource(_parse_seed(args.seed) + b"/keygen")(2)
-    else:
-        key_bytes = secrets.token_bytes(32)
+    key_bytes = SeededRidSource(args.seed + b"/keygen")(2) if args.seed else secrets.token_bytes(32)
     _write_atomic(Path(args.out), key_bytes, 0o600)
     print(f"wrote 32-byte key to {args.out}")
     return 0
@@ -120,10 +119,7 @@ def _cmd_encrypt(args) -> int:
     key = load_key(args.key)
     params = CipherParams(rounds=args.rounds, caf_steps=args.steps)
     data = Path(args.infile).read_bytes()
-    if args.seed is not None:
-        rid_source = SeededRidSource(_parse_seed(args.seed))
-    else:
-        rid_source = os_rid_source
+    rid_source = SeededRidSource(args.seed) if args.seed else os_rid_source
     records = encrypt_stream(data, key, params, rid_source)
     header = ContainerHeader(params.rounds, params.caf_steps, len(data))
     _write_atomic(Path(args.out), write_container(header, records))
@@ -178,16 +174,15 @@ def _cmd_cycles(args) -> int:
 
 
 def _rng_and_key(args) -> tuple[np.random.Generator, SecretKey]:
-    if args.seed is not None:
-        seed = _parse_seed(args.seed)
-        rng = np.random.default_rng(int.from_bytes(seed, "big"))
-    else:
-        rng = np.random.default_rng()
-    if getattr(args, "key", None):
-        key = load_key(args.key)
-    else:
-        key = parse_key(rng.bytes(32))
-    return rng, key
+    rng = np.random.default_rng(int.from_bytes(args.seed, "big") if args.seed else None)
+    return rng, load_key(args.key) if args.key else parse_key(rng.bytes(32))
+
+
+def _print_report(title: str, values: dict, digits: int) -> None:
+    """The title, then one `name=value` line per entry, floats to `digits` places."""
+    print(title)
+    for name, value in values.items():
+        print(f"{name}={value:.{digits}f}" if isinstance(value, float) else f"{name}={value}")
 
 
 def _cmd_avalanche(args) -> int:
@@ -195,12 +190,13 @@ def _cmd_avalanche(args) -> int:
     params = CipherParams(rounds=args.rounds, caf_steps=args.steps)
     report = analysis.avalanche(key, params, args.trials, args.flip, rng=rng)
     freq = report.per_bit_flip_frequency
-    print(f"flipped one {report.flip_target} bit per trial over {report.trials} trials")
-    print(f"trials={report.trials}")
-    print(f"flip_target={report.flip_target}")
-    print(f"mean_flip_fraction={report.mean_flip_fraction:.4f}")
-    print(f"min_bit_frequency={freq.min():.4f}")
-    print(f"max_bit_frequency={freq.max():.4f}")
+    _print_report(
+        f"flipped one {report.flip_target} bit per trial over {report.trials} trials",
+        {"trials": report.trials, "flip_target": report.flip_target,
+         "mean_flip_fraction": report.mean_flip_fraction,
+         "min_bit_frequency": freq.min(), "max_bit_frequency": freq.max()},
+        4,
+    )
     return 0
 
 
@@ -208,43 +204,22 @@ def _cmd_bench(args) -> int:
     rng, key = _rng_and_key(args)
     params = CipherParams(rounds=args.rounds, caf_steps=args.steps)
     report = analysis.throughput_bench(key, params, args.mb, args.workers, rng=rng)
-    print(f"benchmarked {report.megabytes} MB with {report.workers} workers")
-    print(f"megabytes={report.megabytes}")
-    print(f"workers={report.workers}")
-    print(f"encrypt_single_mbps={report.encrypt_single_mbps:.3f}")
-    print(f"decrypt_single_mbps={report.decrypt_single_mbps:.3f}")
-    print(f"encrypt_multi_mbps={report.encrypt_multi_mbps:.3f}")
-    print(f"decrypt_multi_mbps={report.decrypt_multi_mbps:.3f}")
-    print(f"round_trip_ok={report.round_trip_ok}")
-    print(f"parallel_matches_serial={report.parallel_matches_serial}")
-    if not (report.round_trip_ok and report.parallel_matches_serial):
-        return 2
-    return 0
+    _print_report(f"benchmarked {report.megabytes} MB with {report.workers} workers",
+                  dataclasses.asdict(report), 3)
+    return 0 if report.round_trip_ok and report.parallel_matches_serial else 2
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="rpca", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("keygen", help="write a fresh 32-byte key file")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", default=None, help="hex seed for a deterministic key (testing)")
-    p.set_defaults(func=_cmd_keygen)
-
-    p = sub.add_parser("encrypt", help="encrypt a file into an .rpca container")
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
-    p.add_argument("--steps", type=int, default=DEFAULT_CAF_STEPS)
-    p.add_argument("--seed", default=None, help="hex seed for deterministic rids (testing)")
-    p.set_defaults(func=_cmd_encrypt)
-
-    p = sub.add_parser("decrypt", help="decrypt an .rpca container")
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_decrypt)
+    keygen = sub.add_parser("keygen", help="write a fresh 32-byte key file")
+    keygen.add_argument("--out", required=True)
+    keygen.set_defaults(func=_cmd_keygen)
+    encrypt = sub.add_parser("encrypt", help="encrypt a file into an .rpca container")
+    encrypt.set_defaults(func=_cmd_encrypt)
+    decrypt = sub.add_parser("decrypt", help="decrypt an .rpca container")
+    decrypt.set_defaults(func=_cmd_decrypt)
 
     p = sub.add_parser("rules", help="explore local rules")
     rules_sub = p.add_subparsers(dest="rules_cmd", required=True)
@@ -266,39 +241,38 @@ def build_parser() -> _Parser:
     p.add_argument("--boundary", choices=["null", "cyclic"], required=True)
     p.set_defaults(func=_cmd_cycles)
 
-    p = sub.add_parser("avalanche", help="single-bit diffusion measurement")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--flip", choices=["plaintext", "key"], default="plaintext")
-    p.add_argument("--key", default=None)
-    p.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
-    p.add_argument("--steps", type=int, default=DEFAULT_CAF_STEPS)
-    p.add_argument("--seed", default=None)
-    p.set_defaults(func=_cmd_avalanche)
+    avalanche = sub.add_parser("avalanche", help="single-bit diffusion measurement")
+    avalanche.add_argument("--trials", type=int, default=1000)
+    avalanche.add_argument("--flip", choices=["plaintext", "key"], default="plaintext")
+    avalanche.add_argument("--key", default=None)
+    avalanche.set_defaults(func=_cmd_avalanche)
+    bench = sub.add_parser("bench", help="throughput benchmark")
+    bench.add_argument("--mb", type=int, default=1)
+    bench.add_argument("--workers", type=int, default=None)
+    bench.add_argument("--key", default=None)
+    bench.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("bench", help="throughput benchmark")
-    p.add_argument("--mb", type=int, default=1)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--key", default=None)
-    p.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
-    p.add_argument("--steps", type=int, default=DEFAULT_CAF_STEPS)
-    p.add_argument("--seed", default=None)
-    p.set_defaults(func=_cmd_bench)
-
+    # options shared between subcommands, each defined once
+    for p in (encrypt, decrypt):
+        p.add_argument("--key", required=True)
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True)
+    for p in (encrypt, avalanche, bench):
+        p.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
+        p.add_argument("--steps", type=int, default=DEFAULT_CAF_STEPS)
+    for p in (keygen, encrypt, avalanche, bench):
+        p.add_argument("--seed", type=_seed, help="hex seed for deterministic output (testing)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
     except (CipherError, ContainerError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,8 @@ serious cipher.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -24,19 +25,28 @@ class UnsupportedOrbitError(ValueError):
 
 @dataclass(frozen=True)
 class SelectionTable:
-    """Mapping from a control-bit pair (C1, C2) to a rule number."""
+    """Read-only mapping from a control-bit pair (C1, C2) to a rule number."""
 
     radius: int
-    rules: Mapping[tuple[int, int], int]
+    rules: Mapping[tuple[int, int], int]  # a read-only copy of the mapping given
+    _by_code: tuple[Rule, ...] = field(init=False, repr=False, compare=False)  # [2*c1 + c2]
 
     def __post_init__(self) -> None:
         if set(self.rules) != {(a, b) for a in (0, 1) for b in (0, 1)}:
             raise ValueError(f"selection table keys must be (0, 0)..(1, 1), got {[*self.rules]}")
-        for number in self.rules.values():  # make_rule checks the radius and the number
-            ca.make_rule(self.radius, number)
+        rules = MappingProxyType(dict(self.rules))
+        # sorted pairs run in code order; make_rule checks the radius and the number
+        by_code = tuple(ca.make_rule(self.radius, rules[pair]) for pair in sorted(rules))
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "_by_code", by_code)
+
+    def __reduce__(self):  # a mappingproxy does not pickle, so rebuild from a plain dict
+        return SelectionTable, (self.radius, dict(self.rules))
 
     def rule(self, c1: int, c2: int) -> Rule:
-        return ca.make_rule(self.radius, select_rule(self, c1, c2))
+        if c1 not in (0, 1) or c2 not in (0, 1):
+            raise ValueError(f"control pair must be 0 or 1, got {(c1, c2)!r}")
+        return self._by_code[2 * int(c1) + int(c2)]
 
 
 # Printed rows of the two selection tables used throughout.
@@ -50,9 +60,7 @@ TABLE_204_240_170 = SelectionTable(
 
 def select_rule(table: SelectionTable, c1: int, c2: int) -> int:
     """Rule number the table assigns to the control pair (c1, c2), each 0 or 1."""
-    if c1 not in (0, 1) or c2 not in (0, 1):
-        raise ValueError(f"control pair must be 0 or 1, got {(c1, c2)!r}")
-    return table.rules[(int(c1), int(c2))]
+    return table.rule(c1, c2).number
 
 
 def _control_bits(signals: np.ndarray) -> np.ndarray:
@@ -60,7 +68,7 @@ def _control_bits(signals: np.ndarray) -> np.ndarray:
 
     Checked before the cast, which would wrap 256 to 0 and truncate 0.5 to 0.
     """
-    bad = np.argwhere(~np.isin(signals, (0, 1)).all(axis=-1))
+    bad = np.argwhere(((signals != 0) & (signals != 1)).any(axis=-1))
     if len(bad):
         *step, cell = first = tuple(bad[0])
         at = f"step {step[0]}, cell {cell}" if step else f"cell {cell}"
@@ -96,22 +104,27 @@ class ControlProgram:
         return self.signals[step_index % self.signals.shape[0]]
 
 
+def _rule_vector(bits: np.ndarray, table: SelectionTable) -> list[Rule]:
+    """The rules that checked (cells, 2) control bits pick, by control code 2*c1 + c2."""
+    return [table._by_code[code] for code in (bits @ (2, 1)).tolist()]
+
+
 def induced_rule_vector(
     controls: np.ndarray | ControlProgram, table: SelectionTable
 ) -> list[Rule]:
     """Rule vector obtained by looking up each cell's control pair; a ControlProgram gives row 0."""
-    sig = controls.at(0) if isinstance(controls, ControlProgram) else np.asarray(controls)
+    if isinstance(controls, ControlProgram):  # its rows were checked when it was built
+        return _rule_vector(controls.at(0), table)
+    sig = np.asarray(controls)
     if sig.ndim != 2 or sig.shape[1] != 2:
         raise ValueError(f"controls must have shape (cells, 2), got {sig.shape}")
-    rules = [table.rule(c1, c2) for c1 in (0, 1) for c2 in (0, 1)]  # by control code 2*c1 + c2
-    return [rules[code] for code in (_control_bits(sig) @ (2, 1)).tolist()]
+    return _rule_vector(_control_bits(sig), table)
 
 
 def _control_stepper(
-    controls: np.ndarray | ControlProgram, table: SelectionTable, boundary: Boundary, cells: int
+    rules: list[Rule], boundary: Boundary, cells: int
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The `ca._stepper` step for the rule vector that `controls` induce on `cells` cells."""
-    rules = induced_rule_vector(controls, table)
+    """The `ca._stepper` step for an induced rule vector on `cells` cells."""
     if len(rules) != cells:
         raise ValueError(f"controls width {len(rules)} != cell count {cells}")
     return ca._stepper(rules, boundary, (cells,))
@@ -125,7 +138,7 @@ def pca_step(
 ) -> np.ndarray:
     """One step under the rule vector induced by the control signals."""
     config = ca.as_config(config)
-    return _control_stepper(controls, table, boundary, config.size)(config)
+    return _control_stepper(induced_rule_vector(controls, table), boundary, config.size)(config)
 
 
 def pca_run(
@@ -138,8 +151,9 @@ def pca_run(
     """Iterate a control program, step t under row t % period; steps=0 checks the arguments."""
     steps = ca.as_count(steps, "steps", 0)
     out = ca.as_config(config)
-    rows = program.signals.reshape(-1, program.cells, 2)  # (period, cells, 2)
-    step_rows = [_control_stepper(row, table, boundary, out.size) for row in rows[: steps or 1]]
+    rows = program.signals.reshape(-1, program.cells, 2)  # (period, cells, 2), checked
+    step_rows = [_control_stepper(_rule_vector(row, table), boundary, out.size)
+                 for row in rows[: steps or 1]]
     for t in range(steps):
         out = step_rows[t % len(rows)](out)
     return out

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from rpca import analysis
-from rpca.analysis import MAX_MEGABYTES, MAX_TRIALS, MAX_WORKERS, avalanche, throughput_bench
+from rpca.analysis import (
+    MAX_MEGABYTES,
+    MAX_TRIALS,
+    MAX_WORKERS,
+    ThroughputReport,
+    avalanche,
+    throughput_bench,
+)
 from rpca.cipher import CipherParams, encrypt_block, parse_key
 
 PARAMS = CipherParams(rounds=2, caf_steps=8)
@@ -113,6 +120,17 @@ class TestThroughputBench:
         # both directions run the same CA step count
         ratio = report.encrypt_single_mbps / report.decrypt_single_mbps
         assert 1 / 3 <= ratio <= 3
+
+    def test_default_workers_is_one_per_cpu(self, monkeypatch):
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 1)  # so one process starts
+        report = throughput_bench(key_for(3), CipherParams(rounds=1, caf_steps=2),
+                                  rng=np.random.default_rng(4))
+        assert report.workers == 1
+        assert report.round_trip_ok and report.parallel_matches_serial
+
+    def test_encrypt_speedup_is_multi_over_single(self):
+        report = ThroughputReport(1, 2, 0.5, 0.6, 1.5, 1.2, True, True)
+        assert report.encrypt_speedup == 3.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -85,6 +85,11 @@ class TestRuleFromTable:
         with pytest.raises(ValueError, match="0 or 1"):
             ca.rule_from_table(1, [2, 0, 0, 0, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("table", [[0] * 7, [0] * 32, [[0] * 8]])
+    def test_rejects_a_table_of_the_wrong_shape(self, table):
+        with pytest.raises(ValueError, match="table must have 8 entries"):
+            ca.rule_from_table(1, table)
+
     @pytest.mark.parametrize("radius", [0, 4])
     def test_rejects_radius_out_of_range(self, radius):
         # a table of the right length for the radius, so only the radius is wrong
@@ -367,6 +372,10 @@ class TestReversibility:
     def test_census_rejects_radius_above_one(self):
         with pytest.raises(ValueError):
             ca.enumerate_reversible_elementary(2, [4])
+
+    def test_census_rejects_an_empty_size_list(self):
+        with pytest.raises(ValueError, match="cell_sizes must be non-empty"):
+            ca.enumerate_reversible_elementary(1, [])
 
     def test_census_rejects_oversized_rings(self):
         with pytest.raises(ValueError):

@@ -307,6 +307,16 @@ class TestAddRoundKey:
         assert add_round_key(s, m)[:2] == b"\xf0\xf0"
 
 
+@pytest.mark.parametrize("stage", [byte_substitution, row_shift, column_mix, add_round_key])
+@pytest.mark.parametrize("state,material,what", [
+    (bytes(15), bytes(16), "state must be 16 bytes, got 15"),
+    (bytes(16), bytes(17), "material must be 16 bytes, got 17"),
+])
+def test_stage_rejects_a_wrong_length(stage, state, material, what):
+    with pytest.raises(ValueError, match=what):
+        stage(state, material)
+
+
 class TestRound:
     def test_round_trip(self):
         rng = np.random.default_rng(8)
@@ -534,6 +544,10 @@ class TestMaskFinalData:
         key, f = rand_key(rng), rand_block(rng)
         assert mask_final_data(mask_final_data(f, key), key) == f
 
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="final_data must be 16 bytes, got 15"):
+            mask_final_data(bytes(15), ZERO_KEY)
+
 
 class TestBlockApi:
     @pytest.mark.parametrize("params", [CipherParams(10, 32), CipherParams(1, 2)])
@@ -575,6 +589,14 @@ class TestBlockApi:
         record = encrypt_block(p, key, SMALL, rid)
         with pytest.raises(ParameterMismatchError):
             decrypt_block(record, key, CipherParams(rounds=4, caf_steps=8))
+
+    @pytest.mark.parametrize("plaintext,rid,what", [
+        (bytes(15), bytes(16), "plaintext must be 16 bytes, got 15"),
+        (bytes(16), bytes(17), "rid must be 16 bytes, got 17"),
+    ])
+    def test_wrong_block_length_rejected(self, plaintext, rid, what):
+        with pytest.raises(ValueError, match=what):
+            encrypt_block(plaintext, ZERO_KEY, FAST, rid)
 
     def test_truncated_record_rejected(self):
         record = CipherRecord(bytes(15), bytes(16), SMALL.rounds, SMALL.caf_steps)
@@ -648,6 +670,15 @@ class TestStreams:
         records = cipher._encrypt_padded(bytes(16), ZERO_KEY, FAST, bytes(16))
         with pytest.raises(PaddingError):
             decrypt_stream(records, ZERO_KEY, FAST)
+
+    @pytest.mark.parametrize("data", [bytes(15), bytes(17)])
+    def test_unpad_rejects_a_length_that_is_not_a_block_multiple(self, data):
+        with pytest.raises(PaddingError, match="non-empty multiple of 16 bytes"):
+            cipher.unpad(data)
+
+    def test_empty_padded_payload_rejected(self):
+        with pytest.raises(ValueError, match="non-empty multiple of 16 bytes"):
+            cipher._encrypt_padded(b"", ZERO_KEY, FAST, b"")
 
     def test_bad_rid_source_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import argparse
 import errno
+import re
 import os
 import stat
 import threading
@@ -307,6 +309,22 @@ class TestEncryptDecrypt:
 
 
 class TestBench:
+    def test_report_lines_in_order(self, capsys):
+        code, out, _ = run(capsys, "bench", "--mb", "1", "--workers", "1", "--rounds", "1",
+                           "--steps", "2", "--seed", "01")  # starts one worker process
+        assert code == 0
+        title, *lines = out.splitlines()
+        assert title == "benchmarked 1 MB with 1 workers"
+        assert [line.split("=")[0] for line in lines] == [
+            "megabytes", "workers", "encrypt_single_mbps", "decrypt_single_mbps",
+            "encrypt_multi_mbps", "decrypt_multi_mbps", "round_trip_ok",
+            "parallel_matches_serial",
+        ]
+        assert lines[:2] == ["megabytes=1", "workers=1"]
+        for line in lines[2:6]:
+            assert re.fullmatch(r"\w+=\d+\.\d{3}", line)
+        assert lines[6:] == ["round_trip_ok=True", "parallel_matches_serial=True"]
+
     def test_zero_workers_is_data_error_without_a_pool(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
@@ -321,6 +339,32 @@ class TestBench:
         code, _, err = run(capsys, "bench", "--mb", "10000000", "--workers", "1", "--seed", "01")
         assert code == 2
         assert f"megabytes must be in 1..{analysis.MAX_MEGABYTES}" in err
+
+
+class TestGivenKey:
+    """`avalanche --key` and `bench --key` measure the given key, not a drawn one."""
+
+    @pytest.mark.parametrize("command,harness,argv", [
+        ("avalanche", "avalanche", ["--trials", "5"]),
+        ("bench", "throughput_bench", ["--workers", "1"]),
+    ])
+    def test_key_reaches_the_harness(self, capsys, monkeypatch, command, harness, argv):
+        seen = []
+
+        def record(key, *args, **kwargs):
+            seen.append(key.raw)
+            raise ValueError("stopped after the key")
+
+        monkeypatch.setattr(analysis, harness, record)
+        code, _, err = run(capsys, command, *argv, "--key", "5a" * 32, "--seed", "01")
+        assert code == 2 and "stopped after the key" in err
+        assert seen == [bytes.fromhex("5a" * 32)]
+
+    @pytest.mark.parametrize("command", ["avalanche", "bench"])
+    def test_bad_key_is_data_error(self, capsys, command):
+        code, _, err = run(capsys, command, "--key", "not-a-key", "--seed", "01")
+        assert code == 2
+        assert "neither an existing key file nor 64 hex characters" in err
 
 
 class TestRules:
@@ -468,6 +512,85 @@ class TestUsageErrors:
         assert code == 1
         assert "hex" in err
 
+    def test_bad_seed_is_found_before_the_key_is_read(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "encrypt", "--key", str(tmp_path / "absent.key"), "--in", str(tmp_path / "p"),
+            "--out", str(tmp_path / "c"), "--seed", "zz",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: rpca encrypt")
+        assert "argument --seed: must be hex characters, got 'zz'" in err
+        assert RESEARCH_WARNING not in err
+
+    @pytest.mark.parametrize("command", ["keygen", "encrypt", "avalanche", "bench"])
+    def test_empty_seed(self, tmp_path, capsys, command):
+        src, out = tmp_path / "p", tmp_path / "out"
+        src.write_bytes(b"x")
+        argv = {"keygen": ["--out", str(out)],
+                "encrypt": ["--key", "00" * 32, "--in", str(src), "--out", str(out)],
+                "avalanche": [], "bench": []}[command]
+        code, stdout, err = run(capsys, command, *argv, "--seed", "")
+        assert code == 1
+        assert stdout == ""
+        assert "--seed" in err and "must not be empty" in err
+        assert not out.exists()
+
+
+def option_table(parser, prefix=()):
+    """Each (sub)command's options as (flags, dest, default, required, choices)."""
+    table = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        choices = list(action.choices) if action.choices is not None else None
+        table.setdefault(" ".join(prefix), []).append(
+            (action.option_strings, action.dest, action.default, action.required, choices)
+        )
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                table.update(option_table(sub, (*prefix, name)))
+    return table
+
+
+OPTION_TABLE = {  # help strings left out; taken from the parser before its options were shared
+    "": [([], "command", None, True,
+          ["keygen", "encrypt", "decrypt", "rules", "cycles", "avalanche", "bench"])],
+    "keygen": [(["--out"], "out", None, True, None), (["--seed"], "seed", None, False, None)],
+    "encrypt": [(["--key"], "key", None, True, None),
+                (["--in"], "infile", None, True, None),
+                (["--out"], "out", None, True, None),
+                (["--rounds"], "rounds", 10, False, None),
+                (["--steps"], "steps", 32, False, None),
+                (["--seed"], "seed", None, False, None)],
+    "decrypt": [(["--key"], "key", None, True, None),
+                (["--in"], "infile", None, True, None),
+                (["--out"], "out", None, True, None)],
+    "rules": [([], "rules_cmd", None, True, ["list-reversible", "complement", "table"])],
+    "rules list-reversible": [(["--radius"], "radius", 1, False, None)],
+    "rules complement": [([], "number", None, True, None),
+                         (["--radius"], "radius", 1, False, None)],
+    "rules table": [([], "number", None, True, None), (["--radius"], "radius", None, True, None)],
+    "cycles": [(["--rule-vector"], "rule_vector", None, True, None),
+               (["--cells"], "cells", None, True, None),
+               (["--boundary"], "boundary", None, True, ["null", "cyclic"])],
+    "avalanche": [(["--trials"], "trials", 1000, False, None),
+                  (["--flip"], "flip", "plaintext", False, ["plaintext", "key"]),
+                  (["--key"], "key", None, False, None),
+                  (["--rounds"], "rounds", 10, False, None),
+                  (["--steps"], "steps", 32, False, None),
+                  (["--seed"], "seed", None, False, None)],
+    "bench": [(["--mb"], "mb", 1, False, None),
+              (["--workers"], "workers", None, False, None),
+              (["--key"], "key", None, False, None),
+              (["--rounds"], "rounds", 10, False, None),
+              (["--steps"], "steps", 32, False, None),
+              (["--seed"], "seed", None, False, None)],
+}
+
+
+def test_option_table_is_pinned():
+    assert option_table(cli.build_parser()) == OPTION_TABLE
+
 
 class TestLoadKey:
     def test_rejects_garbage(self):
@@ -498,6 +621,10 @@ class TestLoadKey:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
+
+    def test_rejects_sixty_four_characters_that_are_not_hex(self):
+        with pytest.raises(KeyFormatError, match="neither an existing key file"):
+            load_key("zz" * 32)
 
     def test_accepts_hex_with_whitespace(self):
         key = load_key("  " + "ab" * 32 + "\n")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -51,6 +53,29 @@ class TestSelectionTables:
         with pytest.raises(ValueError, match=re.escape(repr(pair))):
             TABLE_204_240_170.rule(*pair)
 
+    def test_tables_are_read_only(self):
+        # this assignment used to succeed and broke every later lookup in the process
+        with pytest.raises(TypeError):
+            TABLE_51_195_153.rules[(1, 1)] = 300
+        rules = {(0, 0): 51, (0, 1): 51, (1, 0): 195, (1, 1): 153}
+        table = SelectionTable(radius=1, rules=rules)
+        rules[(1, 1)] = 300  # the caller's dict is copied, not kept
+        assert select_rule(table, 1, 1) == 153 and table.rule(1, 1).number == 153
+
+    def test_table_builds_its_rules_once(self, monkeypatch):
+        table = SelectionTable(radius=1, rules=dict(TABLE_204_240_170.rules))
+        monkeypatch.setattr(ca, "make_rule", None)  # any later build would fail
+        rules = pca.induced_rule_vector(CONTROLS_204_204_240_170, table)
+        assert [r.number for r in rules] == [204, 204, 240, 170]
+        assert table.rule(1, 0).number == 240
+
+    @pytest.mark.parametrize("table", [TABLE_51_195_153, TABLE_204_240_170])
+    def test_table_pickles_and_copies(self, table):
+        for twin in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+            assert twin == table
+            assert [twin.rule(a, b) for a, b in table.rules] == [
+                table.rule(a, b) for a, b in table.rules]
+
     def test_incomplete_table_rejected(self):
         with pytest.raises(ValueError):
             SelectionTable(radius=1, rules={(0, 0): 51})
@@ -95,6 +120,11 @@ class TestPcaStep:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pca_step(ca.parse_bits("101"), CONTROLS_51_51_195_153, TABLE_51_195_153, Boundary.NULL)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3), (2, 4, 2)])
+    def test_induced_vector_rejects_controls_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"(cells, 2), got {shape}")):
+            pca.induced_rule_vector(np.zeros(shape, np.uint8), TABLE_51_195_153)
 
     def test_zero_dimensional_state_rejected(self):
         with pytest.raises(ValueError, match=r"shape \(\)"):
