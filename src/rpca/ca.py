@@ -19,7 +19,8 @@ import numpy as np
 
 MAX_RADIUS = 3
 EXHAUSTIVE_CELL_LIMIT = 20
-_CODE_BLOCK = 1 << 14  # codes per global_map block: np.take's intp index is 2.5 MiB at 20 cells
+_CODE_BLOCK = 1 << 14  # codes per global_map block; a block's uint64 windows are 128 KiB
+_FEW_CYCLE_STATES = 2  # _cycle_order doubles over the cycle states alone below 1/2 of the states
 
 
 class Boundary(str, Enum):
@@ -124,6 +125,16 @@ def _neighborhood_index(states: np.ndarray, radius: int, boundary: Boundary) -> 
     return idx
 
 
+def _rule_vector(rules: Rule | Sequence[Rule], n: int) -> list[Rule]:
+    """The rules as a list of 1 or n entries of one radius, or ValueError."""
+    vec = [rules] if isinstance(rules, Rule) else list(rules)
+    if len(vec) not in (1, n):
+        raise ValueError(f"rule vector has {len(vec)} entries; need 1 or {n} for {n} cells")
+    if any(r.radius != vec[0].radius for r in vec):
+        raise ValueError("all rules in a vector must share one radius")
+    return vec
+
+
 def _stepper(
     rules: Rule | Sequence[Rule], boundary: Boundary, shape: tuple[int, ...]
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -134,12 +145,8 @@ def _stepper(
     """
     if not shape or not (n := shape[-1]):
         raise ValueError(f"configurations need at least one cell, got shape {shape}")
-    vec = [rules] if isinstance(rules, Rule) else list(rules)
-    if len(vec) not in (1, n):
-        raise ValueError(f"rule vector has {len(vec)} entries; need 1 or {n} for {n} cells")
+    vec = _rule_vector(rules, n)
     radius = vec[0].radius
-    if any(r.radius != radius for r in vec):
-        raise ValueError("all rules in a vector must share one radius")
     boundary = Boundary(boundary)
     tables, offsets = vec[0].table, None
     if len(vec) > 1:  # cell i's table starts at i * 2^(2r+1); uint16 offsets while they fit
@@ -220,18 +227,44 @@ def int_to_state(code: int, cells: int) -> np.ndarray:
 def global_map(rules: Rule | Sequence[Rule], boundary: Boundary, cells: int) -> np.ndarray:
     """Successor code of every configuration code; brute force, cells bounded.
 
-    Each block of codes is unpacked as big-endian uint32 into 32 bit columns.
-    The last `cells` are stepped; the rest stay 0, as every code is below 2^cells.
+    The ring is split into runs of up to 8 output cells. Each run's c + 2r cell
+    window is stepped once for every value it can take, and the run's c outputs
+    are kept in a table, already shifted to their place in the successor code. A
+    block of codes then costs one shift, mask and gather per run. The windows are
+    read from the codes tiled in uint64, so that a cyclic window wraps, even on a
+    ring narrower than the radius.
     """
     cells = as_count(cells, "cells", 1, EXHAUSTIVE_CELL_LIMIT)
-    step_block = _stepper(rules, boundary, (cells,))
+    vec = _rule_vector(rules, cells)
+    r = vec[0].radius
+    # Bit top-1-e of a tiled code holds cell e-r, for e in 0..cells+2r-1: on a ring
+    # the cell mod `cells`, and under null edges the code shifted up r bits reads 0
+    # off either edge.
+    if Boundary(boundary) is Boundary.CYCLIC:
+        skip = -r % cells
+        copies = -(-(skip + cells + 2 * r) // cells)
+        tile, top = sum(1 << (k * cells) for k in range(copies)), copies * cells - skip
+    else:
+        tile, top = 1 << r, cells + 2 * r
+    runs = []
+    for a in range(0, cells, 8):  # output cells a..a+c-1 read window cells a-r..a+c-1+r
+        c = min(8, cells - a)
+        w = c + 2 * r
+        window = vec if len(vec) == 1 else [vec[(a - r + j) % cells] for j in range(w)]
+        values = np.arange(1 << w, dtype=">u2")  # w <= 14
+        bits = np.unpackbits(values.view(np.uint8)).reshape(-1, 16)[:, 16 - w :]
+        outs = _stepper(window, Boundary.NULL, (w,))(bits)[:, r : r + c]
+        place = 1 << np.arange(cells - a - 1, cells - a - c - 1, -1, dtype=np.uint32)
+        runs.append((outs @ place, top - a - w, (1 << w) - 1))
     succ = np.empty(1 << cells, dtype=np.int32)
     for lo in range(0, succ.size, _CODE_BLOCK):
-        codes = np.arange(lo, min(lo + _CODE_BLOCK, succ.size), dtype=">u4")
-        bits = np.unpackbits(codes.view(np.uint8)).reshape(-1, 32)
-        configs = bits[:, 32 - cells :]
-        configs[...] = step_block(configs)
-        succ[lo : lo + codes.size] = np.packbits(bits).view(">u4")
+        tiled = np.arange(lo, min(lo + _CODE_BLOCK, succ.size), dtype=np.uint64) * tile
+        out = succ[lo : lo + tiled.size].view(np.uint32)
+        out[:] = 0
+        for table, shift, mask in runs:
+            windows = tiled >> shift
+            windows &= mask
+            out |= table.take(windows.view(np.int64))
     return succ
 
 
@@ -297,14 +330,24 @@ def _cycle_order(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if size == last:
             break
     # Pointer doubling: low is the least state within 2^k steps, dist the steps to
-    # its first visit. A transient starts above every state and jumps first to where
-    # it lands on its cycle, so it ends with that cycle's least state.
-    low = np.arange(n, dtype=np.int32)
-    jump = np.where(on, succ, far)
-    del far
-    low[~on] = n
-    dist = np.zeros(n, dtype=np.int32)
-    later = np.empty(n, dtype=bool)
+    # its first visit. When few states cycle, it runs over the cycle states alone,
+    # renumbered in ascending order. Otherwise a transient starts above every state
+    # and jumps first to where it lands on its cycle, so it ends with that cycle's
+    # least state.
+    few = size < n // _FEW_CYCLE_STATES
+    if few:
+        cyc = np.flatnonzero(on).astype(np.int32)
+        inv = np.empty(n, dtype=np.int32)
+        inv[cyc] = np.arange(size, dtype=np.int32)
+        jump = inv[succ[cyc]]
+        low = np.arange(size, dtype=np.int32)
+    else:
+        low = np.arange(n, dtype=np.int32)
+        jump = np.where(on, succ, far)
+        del far
+        low[~on] = n
+    dist = np.zeros(low.size, dtype=np.int32)
+    later = np.empty(low.size, dtype=bool)
     step = 1
     while True:
         ahead = low[jump]
@@ -313,11 +356,18 @@ def _cycle_order(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             break
         np.minimum(low, ahead, out=low)
         del ahead
-        later &= on  # a transient's dist is never read
+        if not few:
+            later &= on  # a transient's dist is never read
         np.add(dist[jump], step, out=dist, where=later)
         jump = jump[jump]
         step *= 2
     del ahead, jump, later
+    if few:  # back to codes; far lands every state on its cycle
+        low = cyc[low][inv[far]]
+        del far, inv
+        cyc_dist, dist = dist, np.zeros(n, dtype=np.int32)
+        dist[cyc] = cyc_dist
+        del cyc, cyc_dist
     # Each basin's least code is the start whose walk finds its cycle.
     first = np.full(n, n, dtype=np.int32)
     np.minimum.at(first, low, np.arange(n, dtype=np.int32))

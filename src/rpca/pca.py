@@ -28,8 +28,9 @@ class SelectionTable:
     """Read-only mapping from a control-bit pair (C1, C2) to a rule number."""
 
     radius: int
-    rules: Mapping[tuple[int, int], int]  # a read-only copy of the mapping given
-    _by_code: tuple[Rule, ...] = field(init=False, repr=False, compare=False)  # [2*c1 + c2]
+    rules: Mapping[tuple[int, int], int] = field(hash=False)  # a read-only copy of the mapping given
+    # the rules by control code 2*c1 + c2; hashed in place of `rules`, a mappingproxy, unhashable
+    _by_code: tuple[Rule, ...] = field(init=False, repr=False, compare=False, hash=True)
 
     def __post_init__(self) -> None:
         if set(self.rules) != {(a, b) for a in (0, 1) for b in (0, 1)}:

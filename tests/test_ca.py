@@ -436,6 +436,24 @@ class TestGlobalMap:
         for code in codes:
             assert succ[code] == naive_successor(code, 20, nums, radius, boundary)
 
+    @pytest.mark.parametrize("cells", [13, 16, 17])  # runs of 8 output cells; 17 ends with 1
+    @pytest.mark.parametrize("boundary", ["null", "cyclic"])
+    @pytest.mark.parametrize("radius,numbers", GLOBAL_MAP_RULES, ids=["30", "r2", "r3", "vector", "r2-vector", "r3-vector"])
+    def test_matches_naive_step_on_sampled_codes(self, radius, numbers, boundary, cells):
+        nums = numbers_for(numbers, cells)
+        succ = ca.global_map(vector(*nums, radius=radius), Boundary(boundary), cells)
+        assert succ.dtype == np.int32 and succ.shape == (1 << cells,)
+        top = 1 << cells
+        # one set cell, and a block of 2r + 2 set cells, rotated to every place: their
+        # windows straddle each run edge, and on a ring the wrap
+        block = (1 << 2 * radius + 2) - 1
+        codes = [1 << i for i in range(cells)]
+        codes += [(block >> i | block << cells - i) % top for i in range(cells)]
+        rng = np.random.default_rng([cells, radius, len(numbers)])
+        codes += [0, top - 1, *rng.integers(0, top, 40).tolist()]
+        for code in codes:
+            assert succ[code] == naive_successor(code, cells, nums, radius, boundary), code
+
     def test_twenty_cells_trace_little_memory(self):
         tracemalloc.start()
         try:
@@ -484,6 +502,24 @@ class TestCycleStructure:
             monkeypatch.setattr(ca, "global_map", lambda rules, boundary, cells: succ.copy())
             report = ca.cycle_structure(ca.make_rule(1, 30), Boundary.CYCLIC, 12)
             cycles, transients = naive_cycle_walk(succ)
+            assert report.cycles == cycles
+            assert report.transient_states == transients
+
+    @pytest.mark.parametrize("n", [10, 257, 4096])
+    @pytest.mark.parametrize("below", [1, 0], ids=["below", "at"])
+    def test_matches_the_walk_either_side_of_the_cycle_share_threshold(self, monkeypatch, n, below):
+        # below the threshold the doubling runs over the cycle states alone, at it over all
+        size = n // ca._FEW_CYCLE_STATES - below
+        rng = np.random.default_rng([n, below])
+        for _ in range(3):
+            labels = rng.permutation(n)
+            succ = np.empty(n, dtype=np.int32)
+            succ[labels[:size]] = labels[:size][rng.permutation(size)]  # every one on a cycle
+            succ[labels[size:]] = labels[rng.integers(0, np.arange(size, n))]  # trees into them
+            monkeypatch.setattr(ca, "global_map", lambda rules, boundary, cells: succ.copy())
+            report = ca.cycle_structure(ca.make_rule(1, 30), Boundary.CYCLIC, 12)
+            cycles, transients = naive_cycle_walk(succ)
+            assert sum(map(len, cycles)) == size
             assert report.cycles == cycles
             assert report.transient_states == transients
 

@@ -629,3 +629,17 @@ class TestLoadKey:
     def test_accepts_hex_with_whitespace(self):
         key = load_key("  " + "ab" * 32 + "\n")
         assert key.raw == bytes.fromhex("ab" * 32)
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "rules", "complement", "30")[:2] == (0, "225\n")
+        assert run(capsys, "rules", "complement", "90")[:2] == (0, "165\n")
+        assert run(capsys, "rules", "complement")[0] == 1  # a usage error reuses it too
+    finally:
+        cli._parser.cache_clear()  # later tests build their own, not through the stand-in
+    assert built == [1]

@@ -76,6 +76,13 @@ class TestSelectionTables:
             assert [twin.rule(a, b) for a, b in table.rules] == [
                 table.rule(a, b) for a, b in table.rules]
 
+    def test_tables_hash_as_they_compare(self):
+        # hashing used to raise TypeError, since the rules mapping is a mappingproxy
+        twin = SelectionTable(radius=1, rules=dict(TABLE_51_195_153.rules))
+        assert twin == TABLE_51_195_153 and hash(twin) == hash(TABLE_51_195_153)
+        names = {TABLE_51_195_153: "51/195/153", TABLE_204_240_170: "204/240/170"}
+        assert names[twin] == "51/195/153" and len(names) == 2
+
     def test_incomplete_table_rejected(self):
         with pytest.raises(ValueError):
             SelectionTable(radius=1, rules={(0, 0): 51})
