@@ -20,7 +20,6 @@ import numpy as np
 MAX_RADIUS = 3
 EXHAUSTIVE_CELL_LIMIT = 20
 _CODE_BLOCK = 1 << 14  # codes per global_map block; a block's uint64 windows are 128 KiB
-_FEW_CYCLE_STATES = 2  # _cycle_order doubles over the cycle states alone below 1/2 of the states
 
 
 class Boundary(str, Enum):
@@ -160,6 +159,18 @@ def _stepper(
     return step
 
 
+def _window_table(rules: Sequence[Rule]) -> np.ndarray:
+    """Outputs of c = len(rules) <= 8 adjacent cells, rule k at cell k, for every value of
+    their c + 2r cell window: uint8, the leftmost cell and output most significant."""
+    c, r = len(rules), rules[0].radius
+    windows = np.arange(1 << (c + 2 * r))
+    mask = (1 << (2 * r + 1)) - 1
+    table = np.zeros(windows.size, dtype=np.uint8)
+    for k, rule in enumerate(rules):  # cell k reads window cells k..k+2r
+        table |= rule.table[(windows >> (c - 1 - k)) & mask] << (c - 1 - k)
+    return table
+
+
 def as_cells(states: np.ndarray) -> np.ndarray:
     """Cells as uint8, or ValueError naming the first one not 0 or 1 (before a cast wraps it)."""
     states = np.asarray(states)
@@ -227,12 +238,12 @@ def int_to_state(code: int, cells: int) -> np.ndarray:
 def global_map(rules: Rule | Sequence[Rule], boundary: Boundary, cells: int) -> np.ndarray:
     """Successor code of every configuration code; brute force, cells bounded.
 
-    The ring is split into runs of up to 8 output cells. Each run's c + 2r cell
-    window is stepped once for every value it can take, and the run's c outputs
-    are kept in a table, already shifted to their place in the successor code. A
-    block of codes then costs one shift, mask and gather per run. The windows are
-    read from the codes tiled in uint64, so that a cyclic window wraps, even on a
-    ring narrower than the radius.
+    The ring is split into runs of up to 8 output cells. Each run's c outputs
+    for every value of its c + 2r cell window come from _window_table, shifted
+    to their place in the successor code. A block of codes then costs one
+    shift, mask and gather per run. The windows are read from the codes tiled
+    in uint64, so that a cyclic window wraps, even on a ring narrower than the
+    radius.
     """
     cells = as_count(cells, "cells", 1, EXHAUSTIVE_CELL_LIMIT)
     vec = _rule_vector(rules, cells)
@@ -250,12 +261,8 @@ def global_map(rules: Rule | Sequence[Rule], boundary: Boundary, cells: int) -> 
     for a in range(0, cells, 8):  # output cells a..a+c-1 read window cells a-r..a+c-1+r
         c = min(8, cells - a)
         w = c + 2 * r
-        window = vec if len(vec) == 1 else [vec[(a - r + j) % cells] for j in range(w)]
-        values = np.arange(1 << w, dtype=">u2")  # w <= 14
-        bits = np.unpackbits(values.view(np.uint8)).reshape(-1, 16)[:, 16 - w :]
-        outs = _stepper(window, Boundary.NULL, (w,))(bits)[:, r : r + c]
-        place = 1 << np.arange(cells - a - 1, cells - a - c - 1, -1, dtype=np.uint32)
-        runs.append((outs @ place, top - a - w, (1 << w) - 1))
+        table = _window_table([vec[(a + k) % len(vec)] for k in range(c)])
+        runs.append((table.astype(np.uint32) << (cells - a - c), top - a - w, (1 << w) - 1))
     succ = np.empty(1 << cells, dtype=np.int32)
     for lo in range(0, succ.size, _CODE_BLOCK):
         tiled = np.arange(lo, min(lo + _CODE_BLOCK, succ.size), dtype=np.uint64) * tile
@@ -329,25 +336,21 @@ def _cycle_order(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         size, last = np.count_nonzero(on), size
         if size == last:
             break
-    # Pointer doubling: low is the least state within 2^k steps, dist the steps to
-    # its first visit. When few states cycle, it runs over the cycle states alone,
-    # renumbered in ascending order. Otherwise a transient starts above every state
-    # and jumps first to where it lands on its cycle, so it ends with that cycle's
-    # least state.
-    few = size < n // _FEW_CYCLE_STATES
-    if few:
+    # Pointer doubling over the cycle states: low is the least state within 2^k
+    # steps, dist the steps to its first visit. When some state is transient, the
+    # cycle states are renumbered in ascending order first; when every state
+    # cycles, that renumbering would be the identity.
+    if size < n:
         cyc = np.flatnonzero(on).astype(np.int32)
         inv = np.empty(n, dtype=np.int32)
         inv[cyc] = np.arange(size, dtype=np.int32)
         jump = inv[succ[cyc]]
-        low = np.arange(size, dtype=np.int32)
     else:
-        low = np.arange(n, dtype=np.int32)
-        jump = np.where(on, succ, far)
+        jump = succ
         del far
-        low[~on] = n
-    dist = np.zeros(low.size, dtype=np.int32)
-    later = np.empty(low.size, dtype=bool)
+    low = np.arange(size, dtype=np.int32)
+    dist = np.zeros(size, dtype=np.int32)
+    later = np.empty(size, dtype=bool)
     step = 1
     while True:
         ahead = low[jump]
@@ -356,13 +359,11 @@ def _cycle_order(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             break
         np.minimum(low, ahead, out=low)
         del ahead
-        if not few:
-            later &= on  # a transient's dist is never read
         np.add(dist[jump], step, out=dist, where=later)
         jump = jump[jump]
         step *= 2
     del ahead, jump, later
-    if few:  # back to codes; far lands every state on its cycle
+    if size < n:  # back to codes; far lands every state on its cycle
         low = cyc[low][inv[far]]
         del far, inv
         cyc_dist, dist = dist, np.zeros(n, dtype=np.int32)
@@ -446,4 +447,7 @@ def parse_rule_vector(text: str) -> list[Rule]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty rule vector")
+    for at, part in enumerate(parts):
+        if not part.isdecimal():
+            raise ValueError(f"rule vector entry {at} must be a decimal rule number, got {part!r}")
     return [make_rule(1, int(p)) for p in parts]

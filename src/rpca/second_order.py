@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ca import MAX_RADIUS, Boundary, Rule, _stepper, as_cells, as_count
+from .ca import MAX_RADIUS, Boundary, Rule, _stepper, _window_table, as_cells, as_count
 
 
 class SecondOrderState(NamedTuple):
@@ -66,19 +66,13 @@ def so_iterate_backward(
 def packed_rule_table(rule: Rule) -> np.ndarray:
     """Read-only uint8[2^(8+2r)] table: window value -> NOT of the 8 rule outputs.
 
-    Built from a 2^(4+2r)-entry nibble table (4 output cells per entry): the
+    Built from the 2^(4+2r)-entry ca._window_table of 4 cells, complemented: the
     high nibble of a window's byte reads the window's top 4+2r bits, the low
     nibble its bottom 4+2r bits, and the two share the middle 2r bits.
     """
-    r = rule.radius
-    windows = np.arange(1 << (4 + 2 * r))
-    mask = (1 << (2 * r + 1)) - 1
-    nibble = np.full(windows.size, 0xF, dtype=np.uint8)  # complement for the XNOR
-    for k in range(4):
-        nibble ^= rule.table[(windows >> (3 - k)) & mask] << (3 - k)
-    mid = 1 << (2 * r)
-    table = (nibble.reshape(16, mid)[:, :, None] << 4) | nibble.reshape(mid, 16)[None, :, :]
-    table = table.ravel()
+    nibble = _window_table([rule] * 4) ^ 0xF  # complement for the XNOR
+    mid = 1 << (2 * rule.radius)
+    table = ((nibble.reshape(16, mid)[:, :, None] << 4) | nibble.reshape(mid, 16)).ravel()
     table.setflags(write=False)
     return table
 

@@ -408,6 +408,26 @@ def numbers_for(numbers, cells):
     return numbers if len(numbers) == 1 else (numbers * cells)[:cells]
 
 
+class TestWindowTable:
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize("c", [1, 4, 8])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["uniform", "mixed"])
+    def test_every_window_matches_apply_rule(self, radius, c, mixed):
+        rng = np.random.default_rng([radius, c, mixed])
+        numbers = [int.from_bytes(rng.bytes(1 << 2 * radius - 2), "big")
+                   for _ in range(c if mixed else 1)]
+        rules = vector(*(numbers if mixed else numbers * c), radius=radius)
+        width = c + 2 * radius
+        table = ca._window_table(rules)
+        assert table.dtype == np.uint8 and table.shape == (1 << width,)
+        for value, got in enumerate(table.tolist()):
+            bits = format(value, f"0{width}b")
+            want = 0
+            for k, rule in enumerate(rules):  # cell k and its output: k-th from the top
+                want = want << 1 | ca.apply_rule(rule, bits[k : k + 2 * radius + 1])
+            assert got == want, (value, bits)
+
+
 class TestGlobalMap:
     @pytest.mark.parametrize("boundary", ["null", "cyclic"])
     @pytest.mark.parametrize("radius,numbers", GLOBAL_MAP_RULES, ids=["30", "r2", "r3", "vector", "r2-vector", "r3-vector"])
@@ -505,12 +525,13 @@ class TestCycleStructure:
             assert report.cycles == cycles
             assert report.transient_states == transients
 
-    @pytest.mark.parametrize("n", [10, 257, 4096])
-    @pytest.mark.parametrize("below", [1, 0], ids=["below", "at"])
-    def test_matches_the_walk_either_side_of_the_cycle_share_threshold(self, monkeypatch, n, below):
-        # below the threshold the doubling runs over the cycle states alone, at it over all
-        size = n // ca._FEW_CYCLE_STATES - below
-        rng = np.random.default_rng([n, below])
+    @pytest.mark.parametrize("n,size", [
+        (10, 4), (10, 5), (10, 9), (257, 127), (257, 128), (257, 256),
+        (4096, 2047), (4096, 2048), (4096, 4095),
+    ])
+    def test_matches_the_walk_when_size_states_cycle(self, monkeypatch, n, size):
+        # the doubling runs over the renumbered cycle states; n - 1 leaves one transient
+        rng = np.random.default_rng([n, size])
         for _ in range(3):
             labels = rng.permutation(n)
             succ = np.empty(n, dtype=np.int32)
@@ -712,3 +733,8 @@ class TestTextHelpers:
         assert {r.radius for r in rules} == {1}
         with pytest.raises(ValueError):
             ca.parse_rule_vector("")
+
+    @pytest.mark.parametrize("text,at,entry", [("1x", 0, "1x"), ("51, 51,-5,153", 2, "-5")])
+    def test_parse_rule_vector_names_a_bad_entry(self, text, at, entry):
+        with pytest.raises(ValueError, match=f"rule vector entry {at} must be a decimal .* got '{entry}'"):
+            ca.parse_rule_vector(text)

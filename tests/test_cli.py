@@ -457,6 +457,15 @@ class TestCycles:
         assert out == ""
         assert f"rule vector has 3 entries; need 1 or {cells} for {cells} cells" in err
 
+    @pytest.mark.parametrize("text,at,entry", [("abc", 0, "abc"), ("51,51,5 1,153", 2, "5 1")])
+    def test_bad_vector_entry_is_named(self, capsys, text, at, entry):
+        code, out, err = run(
+            capsys, "cycles", "--rule-vector", text, "--cells", "4", "--boundary", "null"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"rule vector entry {at} must be a decimal rule number, got '{entry}'" in err
+
 
 class TestAvalancheCommand:
     def test_reports_fields(self, capsys):
