@@ -20,6 +20,7 @@ import numpy as np
 MAX_RADIUS = 3
 EXHAUSTIVE_CELL_LIMIT = 20
 _CODE_BLOCK = 1 << 14  # codes per global_map block; a block's uint64 windows are 128 KiB
+_LIST_BLOCK = 1 << 14  # cycles per block of cycle_structure's lists
 
 
 class Boundary(str, Enum):
@@ -405,19 +406,22 @@ def cycle_structure(
 
     Cycles come in the order walks from ascending start codes close them, each
     listed from the state where its walk entered it; transients ascend. The
-    successor map is decomposed in numpy; the lists are built after its arrays
-    are freed, with the cyclic garbage collector paused.
+    successor map is decomposed in numpy into one order array; the lists are
+    built from it a block of cycles at a time, with the cyclic garbage
+    collector paused, so no list of every state is built beside them.
     """
     order, lengths = _cycle_order(global_map(rules, boundary, cells))
-    flat = order.tolist()
-    del order
     sizes = lengths.tolist()
     enabled = gc.isenabled()
     gc.disable()  # lists of ints hold no reference cycles, so a collection only rescans them
     try:
-        cycles = [flat[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
-        del flat[: sum(sizes)]
-        return CycleReport(cells=cells, cycles=cycles, transient_states=flat)
+        cycles, at = [], 0
+        for c in range(0, len(sizes), _LIST_BLOCK):
+            block = sizes[c : c + _LIST_BLOCK]
+            states = order[at : at + sum(block)].tolist()
+            cycles += [states[end - size : end] for size, end in zip(block, accumulate(block))]
+            at += len(states)
+        return CycleReport(cells=cells, cycles=cycles, transient_states=order[at:].tolist())
     finally:
         if enabled:
             gc.enable()
@@ -447,7 +451,12 @@ def parse_rule_vector(text: str) -> list[Rule]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty rule vector")
+    rules = []
     for at, part in enumerate(parts):
         if not part.isdecimal():
             raise ValueError(f"rule vector entry {at} must be a decimal rule number, got {part!r}")
-    return [make_rule(1, int(p)) for p in parts]
+        try:
+            rules.append(make_rule(1, int(part)))
+        except ValueError as exc:
+            raise ValueError(f"rule vector entry {at}: {exc}") from None
+    return rules

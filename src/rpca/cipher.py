@@ -474,9 +474,11 @@ def _encrypt_padded(
     y = _rounds(blocks.T, key._key_schedule[: params.rounds], False)
     rid_rows = np.frombuffer(rids, dtype=np.uint8).reshape(n_blocks, BLOCK_BYTES)
     cipher_bytes, final_bytes = _caf_forward(y.T, rid_rows, key, params.caf_steps)
-    masked = final_bytes ^ np.frombuffer(key.caf_segment, dtype=np.uint8)
+    del y, rids, rid_rows  # freed before the records are built, which sets the peak
     records = np.empty((n_blocks, RECORD_BYTES), np.uint8)  # row-major: written out in one copy
-    np.concatenate([cipher_bytes, masked], axis=1, out=records)
+    records[:, :BLOCK_BYTES] = cipher_bytes
+    mask = np.frombuffer(key.caf_segment, dtype=np.uint8)
+    np.bitwise_xor(final_bytes, mask, out=records[:, BLOCK_BYTES:])
     records.flags.writeable = False
     return records
 
@@ -491,6 +493,7 @@ def _decrypt_records_raw(records: np.ndarray, key: SecretKey, params: CipherPara
         )
     final_bytes = records[:, BLOCK_BYTES:] ^ np.frombuffer(key.caf_segment, dtype=np.uint8)
     states = _caf_backward(records[:, :BLOCK_BYTES], final_bytes, key, params.caf_steps)
+    del final_bytes  # freed before the rounds' two working arrays
     y = _rounds(states.T, key._key_schedule[: params.rounds], True)
     return y.T.tobytes()
 
@@ -529,7 +532,11 @@ class SeededRidSource:
 
     Rid i of the stream is sha256(seed || i as 8 big-endian bytes)[:16]; a
     call for n rids takes the next n indices and returns their 16·n bytes.
+    The rids are joined 2^12 at a time and then the batches, so a call holds
+    about twice its output, not one 16-byte object per rid.
     """
+
+    _BATCH = 1 << 12
 
     def __init__(self, seed: bytes):
         self._seed = bytes(seed)
@@ -541,7 +548,9 @@ class SeededRidSource:
         with self._lock:
             start = self._counter
             self._counter += n
-        return b"".join(
-            [hashlib.sha256(self._seed + i.to_bytes(8, "big")).digest()[:BLOCK_BYTES]
-             for i in range(start, start + n)]
-        )
+        end = start + n
+        return b"".join([  # a single batch comes back as it is
+            b"".join([hashlib.sha256(self._seed + i.to_bytes(8, "big")).digest()[:BLOCK_BYTES]
+                      for i in range(lo, min(lo + self._BATCH, end))])
+            for lo in range(start, end, self._BATCH)
+        ])

@@ -9,10 +9,12 @@ be reproduced; without it, randomness comes from the OS entropy pool.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import os
 import secrets
+import stat
 import sys
 from pathlib import Path
 
@@ -21,6 +23,7 @@ import numpy as np
 from . import analysis, ca
 from .ca import Boundary
 from .cipher import (
+    BLOCK_BYTES,
     DEFAULT_CAF_STEPS,
     DEFAULT_ROUNDS,
     KEY_BYTES,
@@ -31,17 +34,28 @@ from .cipher import (
     PaddingError,
     SecretKey,
     SeededRidSource,
+    _decrypt_records_raw,
+    _encrypt_padded,
     decrypt_stream,
     encrypt_stream,
     os_rid_source,
     parse_key,
 )
-from .container import HEADER_LEN, ContainerError, ContainerHeader, read_container, write_container
+from .container import (
+    HEADER_LEN,
+    ContainerError,
+    ContainerHeader,
+    ContainerLengthError,
+    pack_header,
+    parse_header,
+)
 
 RESEARCH_WARNING = (
     "warning: experimental research cipher; do not use it to protect real data"
 )
 _WRONG_KEY_HINT = "wrong key or damaged file"
+# encrypt and decrypt hold one chunk of this many blocks (1 MiB of plaintext) at a time
+_CHUNK_BLOCKS = 1 << 16
 
 
 class UsageError(Exception):
@@ -83,23 +97,32 @@ def load_key(value: str) -> SecretKey:
     raise KeyFormatError(f"{value!r} is neither an existing key file nor 64 hex characters")
 
 
-def _write_atomic(path: Path, data: bytes, mode: int = 0o666) -> None:
-    """Write through a temp file in the same directory, then rename it over `path`.
+@contextlib.contextmanager
+def _write_atomic(path: Path, mode: int = 0o666):
+    """Yield an open binary file whose contents replace `path` on a clean exit.
 
-    The temp file is created with `mode` (less the umask), so the data never
-    sits in a file with wider permissions. A failed write leaves any existing
-    file at `path` as it was, and removes the temp file. The data is fsynced
-    before the rename, so after a crash `path` holds the old file or the whole
-    new one, never an empty one. A device or pipe (e.g. /dev/stdout) cannot be
-    replaced, so it is written directly and its mode is left alone.
+    For a regular path (or none yet) it is a temp file in the same directory,
+    created with `mode` (less the umask), so the data never sits in a file
+    with wider permissions. On a clean exit it is fsynced and renamed over
+    `path`, so after a crash `path` holds the old file or the whole new one.
+    A device or pipe (e.g. /dev/stdout) cannot be replaced: its data goes to
+    an unlinked temp file, copied out on a clean exit, and its mode is left
+    alone. On any exception the temp file is removed and `path` is untouched.
     """
     if path.exists() and not path.is_file():
-        path.write_bytes(data)
+        import shutil
+        import tempfile  # only here: every other run starts without it
+
+        with tempfile.TemporaryFile() as tmp:
+            yield tmp
+            tmp.seek(0)
+            with path.open("wb") as out:
+                shutil.copyfileobj(tmp, out)
         return
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     try:
         with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode), "wb") as f:
-            f.write(data)
+            yield f
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -108,9 +131,19 @@ def _write_atomic(path: Path, data: bytes, mode: int = 0o666) -> None:
         raise
 
 
+def _read_up_to(f, n: int) -> bytes:
+    """n bytes from the unbuffered file `f`, fewer only at its end; never reads past n."""
+    parts = []
+    while n and (part := f.read(n)):
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)  # a single part comes back as it is
+
+
 def _cmd_keygen(args) -> int:
     key_bytes = SeededRidSource(args.seed + b"/keygen")(2) if args.seed else secrets.token_bytes(32)
-    _write_atomic(Path(args.out), key_bytes, 0o600)
+    with _write_atomic(Path(args.out), 0o600) as out:
+        out.write(key_bytes)
     print(f"wrote 32-byte key to {args.out}")
     return 0
 
@@ -119,30 +152,63 @@ def _cmd_encrypt(args) -> int:
     print(RESEARCH_WARNING, file=sys.stderr)
     key = load_key(args.key)
     params = CipherParams(rounds=args.rounds, caf_steps=args.steps)
-    data = Path(args.infile).read_bytes()
     rid_source = SeededRidSource(args.seed) if args.seed else os_rid_source
-    records = encrypt_stream(data, key, params, rid_source)
-    header = ContainerHeader(params.rounds, params.caf_steps, len(data))
-    _write_atomic(Path(args.out), write_container(header, records))
-    print(f"encrypted {len(data)} bytes into {len(records)} blocks -> {args.out}")
+    chunk = BLOCK_BYTES * _CHUNK_BLOCKS
+    length = 0
+    with Path(args.infile).open("rb", buffering=0) as src, _write_atomic(Path(args.out)) as out:
+        out.write(bytes(HEADER_LEN))  # the header goes here once the length is known
+        data = _read_up_to(src, chunk)
+        # a full chunk may be the last one, and only the last is padded: read one ahead
+        while len(data) == chunk and (ahead := _read_up_to(src, chunk)):
+            out.write(_encrypt_padded(data, key, params, rid_source(_CHUNK_BLOCKS)))
+            length += chunk
+            data = ahead
+        out.write(encrypt_stream(data, key, params, rid_source))
+        length += len(data)
+        out.seek(0)
+        out.write(pack_header(ContainerHeader(params.rounds, params.caf_steps, length)))
+    print(f"encrypted {length} bytes into {length // BLOCK_BYTES + 1} blocks -> {args.out}")
     return 0
+
+
+def _read_records(src, header: ContainerHeader, start: int, count: int) -> np.ndarray:
+    """The next `count` records, numbered from `start`, as a (count, 32) uint8 array."""
+    body = _read_up_to(src, RECORD_BYTES * count)
+    if len(body) < RECORD_BYTES * count:  # the input ended early: say how, as for a file
+        header.check_length(HEADER_LEN + RECORD_BYTES * start + len(body))
+    return np.frombuffer(body, np.uint8).reshape(count, RECORD_BYTES)
 
 
 def _cmd_decrypt(args) -> int:
     key = load_key(args.key)
-    header, records = read_container(Path(args.infile).read_bytes())
-    params = CipherParams(rounds=header.rounds, caf_steps=header.caf_steps)
-    try:
-        data = decrypt_stream(records, key, params)
-    except PaddingError as exc:  # the trailer is in the last block
-        i = len(records) - 1
-        where = f"block {i}, the record at byte {HEADER_LEN + RECORD_BYTES * i}"
-        raise PaddingError(f"{exc} in {where}: {_WRONG_KEY_HINT}") from exc
-    if len(data) != header.plaintext_length:
-        raise ContainerError(f"decrypted length {len(data)} disagrees with header "
-                             f"{header.plaintext_length}: {_WRONG_KEY_HINT}")
-    _write_atomic(Path(args.out), data)
-    print(f"decrypted {len(records)} blocks -> {args.out} ({len(data)} bytes)")
+    with Path(args.infile).open("rb", buffering=0) as src:
+        header = parse_header(_read_up_to(src, HEADER_LEN))
+        info = os.fstat(src.fileno())
+        if stat.S_ISREG(info.st_mode):  # a file's size is known: check it before decrypting
+            header.check_length(info.st_size)
+        params = CipherParams(rounds=header.rounds, caf_steps=header.caf_steps)
+        n = header.expected_records()
+        last = (n - 1) // _CHUNK_BLOCKS * _CHUNK_BLOCKS  # where the last chunk starts
+        with _write_atomic(Path(args.out)) as out:
+            for start in range(0, last, _CHUNK_BLOCKS):
+                records = _read_records(src, header, start, _CHUNK_BLOCKS)
+                out.write(_decrypt_records_raw(records, key, params))
+            records = _read_records(src, header, last, n - last)
+            if src.read(1):
+                raise ContainerLengthError(
+                    f"input continues past the {n} records the header announces"
+                )
+            try:
+                data = decrypt_stream(records, key, params)
+            except PaddingError as exc:  # the trailer is in the last block
+                where = f"block {n - 1}, the record at byte {HEADER_LEN + RECORD_BYTES * (n - 1)}"
+                raise PaddingError(f"{exc} in {where}: {_WRONG_KEY_HINT}") from exc
+            length = BLOCK_BYTES * last + len(data)
+            if length != header.plaintext_length:
+                raise ContainerError(f"decrypted length {length} disagrees with header "
+                                     f"{header.plaintext_length}: {_WRONG_KEY_HINT}")
+            out.write(data)
+    print(f"decrypted {n} blocks -> {args.out} ({length} bytes)")
     return 0
 
 

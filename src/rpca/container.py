@@ -18,6 +18,9 @@ In memory the records are one (n, 32) uint8 array, one wire record per row,
 as returned by `cipher.encrypt_stream`: `write_container` appends its bytes
 to the header, and `read_container` returns a read-only view of the input
 bytes in that shape. The parameters appear once, in the header.
+`pack_header`, `parse_header` and `ContainerHeader.check_length` are the one
+place the header is packed and checked; the CLI, which streams files in
+chunks rather than holding them whole, uses them directly.
 """
 from __future__ import annotations
 
@@ -68,32 +71,28 @@ class ContainerHeader:
         except ValueError as exc:
             raise ContainerValidationError(f"header: {exc}") from exc
 
+    def check_length(self, length: int) -> None:
+        """Raise ContainerLengthError unless a `length`-byte stream is this header
+        followed by exactly its records."""
+        n_records, leftover = divmod(length - HEADER_LEN, RECORD_BYTES)
+        if leftover:
+            raise ContainerLengthError(f"stream length {length} is not 18 + 32*k")
+        if n_records != self.expected_records():
+            raise ContainerLengthError(
+                f"{n_records} records but header announces {self.expected_records()}"
+            )
 
-def write_container(header: ContainerHeader, records: np.ndarray) -> bytes:
-    """Serialize the header and an (n, 32) uint8 record array; n must match the header."""
+
+def pack_header(header: ContainerHeader) -> bytes:
+    """The 18 header bytes, after `header.validate()`."""
     header.validate()
-    records = np.asarray(records)
-    if records.dtype != np.uint8 or records.shape[1:] != (RECORD_BYTES,):
-        raise ContainerValidationError(
-            f"records must be an (n, {RECORD_BYTES}) uint8 array, "
-            f"got {records.dtype} {records.shape}"
-        )
-    if len(records) != header.expected_records():
-        raise ContainerLengthError(
-            f"{len(records)} records for plaintext_length {header.plaintext_length}; "
-            f"expected {header.expected_records()}"
-        )
-    packed = _HEADER_STRUCT.pack(
+    return _HEADER_STRUCT.pack(
         MAGIC, VERSION, header.rounds, header.caf_steps, header.plaintext_length, _RESERVED
     )
-    return b"".join((packed, np.ascontiguousarray(records)))  # one copy of the records
 
 
-def read_container(data: bytes) -> tuple[ContainerHeader, np.ndarray]:
-    """Parse bytes produced by write_container; the exact inverse.
-
-    The records come back as a read-only (n, 32) uint8 view of `data`.
-    """
+def parse_header(data: bytes) -> ContainerHeader:
+    """The header at the start of `data`, with every field checked."""
     if len(data) < HEADER_LEN:
         raise ContainerLengthError(f"stream of {len(data)} bytes is shorter than the header")
     magic, version, rounds, caf_steps, plaintext_length, reserved = _HEADER_STRUCT.unpack_from(
@@ -109,15 +108,34 @@ def read_container(data: bytes) -> tuple[ContainerHeader, np.ndarray]:
         )
     header = ContainerHeader(rounds=rounds, caf_steps=caf_steps, plaintext_length=plaintext_length)
     header.validate()
-    body = len(data) - HEADER_LEN
-    n_records, leftover = divmod(body, RECORD_BYTES)
-    if leftover:
-        raise ContainerLengthError(f"stream length {len(data)} is not 18 + 32*k")
-    if n_records != header.expected_records():
-        raise ContainerLengthError(
-            f"{n_records} records but header announces {header.expected_records()}"
+    return header
+
+
+def write_container(header: ContainerHeader, records: np.ndarray) -> bytes:
+    """Serialize the header and an (n, 32) uint8 record array; n must match the header."""
+    packed = pack_header(header)
+    records = np.asarray(records)
+    if records.dtype != np.uint8 or records.shape[1:] != (RECORD_BYTES,):
+        raise ContainerValidationError(
+            f"records must be an (n, {RECORD_BYTES}) uint8 array, "
+            f"got {records.dtype} {records.shape}"
         )
+    if len(records) != header.expected_records():
+        raise ContainerLengthError(
+            f"{len(records)} records for plaintext_length {header.plaintext_length}; "
+            f"expected {header.expected_records()}"
+        )
+    return b"".join((packed, np.ascontiguousarray(records)))  # one copy of the records
+
+
+def read_container(data: bytes) -> tuple[ContainerHeader, np.ndarray]:
+    """Parse bytes produced by write_container; the exact inverse.
+
+    The records come back as a read-only (n, 32) uint8 view of `data`.
+    """
+    header = parse_header(data)
+    header.check_length(len(data))
     records = np.frombuffer(data, dtype=np.uint8, offset=HEADER_LEN)
-    records = records.reshape(n_records, RECORD_BYTES)
+    records = records.reshape(header.expected_records(), RECORD_BYTES)
     records.flags.writeable = False
     return header, records

@@ -2,11 +2,18 @@
 
 Everything here is deliberately written as plain Python loops over cell
 lists, with rule outputs taken straight from the rule number's bits. None of
-it shares code with the package under test.
+it shares code with the package under test. `child_peak_mib` measures the
+package from outside, in a fresh interpreter.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def naive_step(cells, rule_numbers, radius, boundary):
@@ -258,3 +265,19 @@ def naive_decrypt_block(key_raw, rounds, steps, record):
     for materials in reversed(_naive_schedule(key_raw, rounds)):
         block = naive_round(block, materials, inverse=True)
     return block
+
+
+def child_peak_mib(code):
+    """Peak RSS, in MiB, of a fresh interpreter that imports rpca.ca and runs `code`.
+
+    Read from VmHWM, not ru_maxrss: Linux carries the parent's peak into a child's
+    ru_maxrss across exec, so under a large test process both children would read it.
+    `code` may print; the peak is printed last.
+    """
+    script = (f"from rpca import ca\n{code}\n"
+              "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+              "           if line.startswith('VmHWM:')))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    return int(run.stdout.split()[-1]) / 1024

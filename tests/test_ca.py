@@ -1,12 +1,9 @@
 import gc
 import hashlib
 import itertools
-import os
 import re
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +13,7 @@ from hypothesis import strategies as st
 from rpca import ca
 from rpca.ca import Boundary
 
-from helpers import naive_cycle_walk, naive_step
+from helpers import child_peak_mib, naive_cycle_walk, naive_step
 
 # Rule/output rows for the six reversible elementary rules, columns ordered
 # 111 110 101 100 011 010 001 000 (highest pattern first).
@@ -639,20 +636,15 @@ class TestCycleStructure:
         assert report.cycles == cycles
         assert report.transient_states == transients
 
-
-def child_peak_mib(code):
-    """Peak RSS, in MiB, of a fresh interpreter that imports rpca.ca and runs `code`.
-
-    Read from VmHWM, not ru_maxrss: Linux carries the parent's peak into a child's
-    ru_maxrss across exec, so under a large test process both children would read it.
-    """
-    script = (f"from rpca import ca\n{code}\n"
-              "print(next(line.split()[1] for line in open('/proc/self/status')\n"
-              "           if line.startswith('VmHWM:')))")
-    env = {**os.environ, "PYTHONPATH": str(Path(ca.__file__).parents[1])}
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True)
-    return int(run.stdout) / 1024
+    @pytest.mark.parametrize("boundary", ["null", "cyclic"])
+    @pytest.mark.parametrize("numbers", [(30,), (51, 51, 195, 153), (204, 204, 240, 170)])
+    def test_lists_built_a_few_cycles_at_a_time_match_a_naive_walk(
+        self, numbers, boundary, monkeypatch
+    ):
+        monkeypatch.setattr(ca, "_LIST_BLOCK", 3)  # three cycles per block, so many blocks
+        numbers = numbers_for(numbers, 10)
+        report = ca.cycle_structure(vector(*numbers), Boundary(boundary), 10)
+        assert (report.cycles, report.transient_states) == naive_cycle_report(numbers, 10, boundary)
 
 
 def naive_cycle_report(numbers, cells, boundary):
@@ -688,6 +680,11 @@ class TestTextHelpers:
             ca.parse_bits("10a1")
         with pytest.raises(ValueError):
             ca.parse_bits("")
+
+    @pytest.mark.parametrize("text,at", [("300", 0), ("51,300", 1), ("51, 51, 195, 1000", 3)])
+    def test_rule_vector_names_an_out_of_range_entry(self, text, at):
+        with pytest.raises(ValueError, match=rf"^rule vector entry {at}: rule_number out of range"):
+            ca.parse_rule_vector(text)
 
     def test_state_int_round_trip(self):
         cfg = ca.parse_bits("1011")

@@ -1,17 +1,35 @@
 import argparse
+import contextlib
 import errno
+import io
 import re
 import os
 import stat
+import sys
+import tempfile
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpca import analysis, cli
 from rpca.cli import RESEARCH_WARNING, load_key, main
-from rpca.cipher import KeyFormatError, parse_key
+from rpca.cipher import (
+    CipherError,
+    CipherParams,
+    KeyFormatError,
+    SeededRidSource,
+    decrypt_stream,
+    encrypt_stream,
+    parse_key,
+)
+from rpca.container import ContainerError, ContainerHeader, read_container, write_container
+
+from helpers import child_peak_mib
 
 
 class NoDraws:
@@ -308,6 +326,232 @@ class TestEncryptDecrypt:
         assert code == 2
 
 
+CHUNK = 4  # blocks per chunk in the tests below, so chunk edges fall every 64 bytes
+EDGE_KEY = "3c" * 32
+EDGE_PARAMS = CipherParams(rounds=2, caf_steps=4)
+# 0-17 bytes, then chunk - 1, chunk and chunk + 1 blocks, each also +- 1 byte, then three chunks
+EDGE_SIZES = [0, 1, 15, 16, 17] + [
+    16 * blocks + d for blocks in (CHUNK - 1, CHUNK, CHUNK + 1) for d in (-1, 0, 1)
+] + [16 * 3 * CHUNK + 5]
+
+
+def sealed(plain: bytes, seed: bytes) -> bytes:
+    """The container of `plain` built in one piece, with seeded rids."""
+    key, params = parse_key(bytes.fromhex(EDGE_KEY)), EDGE_PARAMS
+    records = encrypt_stream(plain, key, params, SeededRidSource(seed))
+    return write_container(ContainerHeader(params.rounds, params.caf_steps, len(plain)), records)
+
+
+def source(path: Path, data: bytes, through: str) -> threading.Thread | None:
+    """Make `path` yield `data`: a file, or a named pipe fed by the thread returned."""
+    if through == "file":
+        path.write_bytes(data)
+        return None
+    os.mkfifo(path)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as f:
+            f.write(data)
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    return feeder
+
+
+def edge_argv(command: str, infile: Path, outfile: Path) -> list[str]:
+    argv = [command, "--key", EDGE_KEY, "--in", str(infile), "--out", str(outfile)]
+    if command == "encrypt":
+        argv += ["--rounds", str(EDGE_PARAMS.rounds), "--steps", str(EDGE_PARAMS.caf_steps),
+                 "--seed", b"edges".hex()]
+    return argv
+
+
+class TestChunkedStreams:
+    """encrypt and decrypt hold one chunk at a time; the bytes are the whole-stream ones."""
+
+    @pytest.mark.parametrize("through", [
+        "file",
+        pytest.param("fifo", marks=pytest.mark.skipif(not hasattr(os, "mkfifo"),
+                                                      reason="needs named pipes")),
+    ])
+    @pytest.mark.parametrize("size", EDGE_SIZES)
+    def test_chunk_edges_leave_the_bytes_as_in_one_piece(
+        self, tmp_path, capsys, monkeypatch, size, through
+    ):
+        monkeypatch.setattr(cli, "_CHUNK_BLOCKS", CHUNK)
+        plain = np.random.default_rng(size).bytes(size)
+        want = sealed(plain, b"edges")
+        enc, dec = tmp_path / "sealed.rpca", tmp_path / "opened.bin"
+        feeders = [source(tmp_path / "plain", plain, through)]
+        code, out, _ = run(capsys, *edge_argv("encrypt", tmp_path / "plain", enc))
+        assert code == 0
+        assert f"encrypted {size} bytes into {size // 16 + 1} blocks" in out
+        assert enc.read_bytes() == want
+        feeders.append(source(tmp_path / "again.rpca", want, through))
+        code, out, _ = run(capsys, *edge_argv("decrypt", tmp_path / "again.rpca", dec))
+        assert code == 0
+        assert f"decrypted {size // 16 + 1} blocks" in out
+        assert dec.read_bytes() == plain
+        for feeder in filter(None, feeders):
+            feeder.join(timeout=10)
+            assert not feeder.is_alive()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_output_through_a_pipe_has_the_same_bytes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK_BLOCKS", CHUNK)
+        plain, fifo = tmp_path / "plain", tmp_path / "out.fifo"
+        plain.write_bytes(bytes(range(200)))  # 13 blocks: 4 chunks, the header written last
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run(capsys, *edge_argv("encrypt", plain, fifo))[0] == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [sealed(bytes(range(200)), b"edges")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo", "plain"]
+
+    def test_in_and_out_may_name_the_same_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK_BLOCKS", CHUNK)
+        path = tmp_path / "data"
+        plain = bytes(range(256)) * 3  # 49 blocks: 13 chunks
+        path.write_bytes(plain)
+        assert run(capsys, *edge_argv("encrypt", path, path))[0] == 0
+        assert path.read_bytes() == sealed(plain, b"edges")
+        assert run(capsys, *edge_argv("decrypt", path, path))[0] == 0
+        assert path.read_bytes() == plain
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_errors_in_the_last_chunk_name_the_global_block(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK_BLOCKS", CHUNK)
+        enc, dec = tmp_path / "sealed.rpca", tmp_path / "opened.bin"
+        blob = bytearray(sealed(bytes(100), b"x"))  # 7 records: a full chunk, then 3
+        enc.write_bytes(bytes(blob))
+        code, _, err = run(capsys, "decrypt", "--key", "5a" * 32, "--in", str(enc),
+                           "--out", str(dec))
+        assert code == 2
+        assert "invalid padding trailer" in err
+        assert "block 6, the record at byte 210: wrong key or damaged file" in err
+        blob[8:16] = (99).to_bytes(8, "big")  # still 7 records, but not the decrypted length
+        enc.write_bytes(bytes(blob))
+        code, _, err = run(capsys, *edge_argv("decrypt", enc, dec))
+        assert code == 2
+        assert "decrypted length 100 disagrees with header 99: wrong key" in err
+        assert not dec.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_zeros_fail_on_the_magic(self, tmp_path, capsys):
+        out = tmp_path / "opened.bin"
+        code, _, err = run(capsys, "decrypt", "--key", EDGE_KEY, "--in", "/dev/zero",
+                           "--out", str(out))
+        assert code == 2
+        assert "bad magic" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="opens a named pipe read-write")
+    def test_bytes_after_the_records_fail_having_read_one_of_them(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_CHUNK_BLOCKS", CHUNK)
+        fifo, out = tmp_path / "in.fifo", tmp_path / "opened.bin"
+        os.mkfifo(fifo)
+        extra = b"trailing bytes"
+        # the test holds the write end, so the reader finds no end of input
+        fd = os.open(fifo, os.O_RDWR | os.O_NONBLOCK)
+        try:
+            os.write(fd, sealed(bytes(150), b"x") + extra)  # 10 records, 3 chunks
+            code, _, err = run(capsys, "decrypt", "--key", EDGE_KEY, "--in", str(fifo),
+                               "--out", str(out))
+            left = os.read(fd, 1024)
+        finally:
+            os.close(fd)
+        assert code == 2
+        assert "input continues past the 10 records the header announces" in err
+        assert left == extra[1:]
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+    def test_memory_does_not_grow_with_the_file(self, tmp_path):
+        # Each command's child peak at 8 MB against 1 MB: one chunk is 1 MiB of
+        # plaintext, so a bounded command grows by well under 4 MiB.
+        rng = np.random.default_rng(23)
+        peaks = {}
+        for mb in (1, 8):
+            plain, enc = tmp_path / f"{mb}.bin", tmp_path / f"{mb}.rpca"
+            plain.write_bytes(rng.bytes(mb * 10**6))
+            common = ["--key", EDGE_KEY, "--out"]
+            runs = {
+                "encrypt --seed": ["encrypt", *common, str(tmp_path / "seeded.rpca"),
+                                   "--in", str(plain), "--rounds", "1", "--steps", "2",
+                                   "--seed", "01"],
+                "encrypt": ["encrypt", *common, str(enc), "--in", str(plain),
+                            "--rounds", "1", "--steps", "2"],
+                "decrypt": ["decrypt", *common, str(tmp_path / "opened.bin"), "--in", str(enc)],
+            }
+            for name, argv in runs.items():
+                code = f"from rpca import cli\nassert cli.main({argv!r}) == 0"
+                peaks[name, mb] = child_peak_mib(code)
+        for name in ("encrypt --seed", "encrypt", "decrypt"):
+            assert peaks[name, 8] - peaks[name, 1] < 4, (name, peaks)
+
+
+FUZZ_CONTAINERS = [sealed(bytes(range(size)), b"fuzz") for size in (0, 70, 150)]  # 1, 2, 3 chunks
+
+
+def decrypted_whole(blob: bytes) -> bytes | None:
+    """What decrypting `blob` in one piece gives, or None if that fails."""
+    key = parse_key(bytes.fromhex(EDGE_KEY))
+    try:
+        header, records = read_container(blob)
+        data = decrypt_stream(records, key, CipherParams(header.rounds, header.caf_steps))
+    except (ContainerError, CipherError):
+        return None
+    return data if len(data) == header.plaintext_length else None
+
+
+def assert_decrypts_as_in_one_piece(blob: bytes) -> None:
+    """The chunked CLI accepts exactly what the whole-file reader accepts, with its bytes.
+
+    On exit 2 the earlier output is unchanged and no temp file is left.
+    """
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CHUNK_BLOCKS", CHUNK):
+        src, out = Path(tmp) / "in.rpca", Path(tmp) / "out.bin"
+        src.write_bytes(blob)
+        out.write_bytes(b"output of an earlier run")
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(["decrypt", "--key", EDGE_KEY, "--in", str(src), "--out", str(out)])
+        want = decrypted_whole(blob)
+        assert code == (2 if want is None else 0), sink.getvalue()
+        assert out.read_bytes() == (b"output of an earlier run" if want is None else want)
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["in.rpca", "out.bin"]
+
+
+class TestChunkedReaderFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes(self, blob):
+        assert_decrypts_as_in_one_piece(blob)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes_after_a_valid_prefix(self, tail):
+        assert_decrypts_as_in_one_piece(b"RPC1\x01" + tail)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(FUZZ_CONTAINERS), st.data())
+    def test_truncations(self, blob, data):
+        assert_decrypts_as_in_one_piece(blob[: data.draw(st.integers(0, len(blob) - 1))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FUZZ_CONTAINERS), st.data())
+    def test_single_bit_flips(self, blob, data):
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 0x80 >> (bit % 8)
+        assert_decrypts_as_in_one_piece(bytes(flipped))
+
+
 class TestBench:
     def test_report_lines_in_order(self, capsys):
         code, out, _ = run(capsys, "bench", "--mb", "1", "--workers", "1", "--rounds", "1",
@@ -465,6 +709,15 @@ class TestCycles:
         assert code == 2
         assert out == ""
         assert f"rule vector entry {at} must be a decimal rule number, got '{entry}'" in err
+
+    def test_out_of_range_vector_entry_is_named(self, capsys):
+        code, out, err = run(
+            capsys, "cycles", "--rule-vector", "51,300", "--cells", "2", "--boundary", "null"
+        )
+        assert code == 2
+        assert out == ""
+        assert "rule vector entry 1: rule_number out of range" in err
+        assert "got 300" in err
 
 
 class TestAvalancheCommand:

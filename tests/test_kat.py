@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from rpca import cli
 from rpca.cipher import (
     CipherParams,
     CipherRecord,
@@ -168,6 +169,26 @@ def test_container_vectors_decrypt(kat):
         params = CipherParams(header.rounds, header.caf_steps)
         plaintext = decrypt_stream(records, parse_key(bytes.fromhex(vector["key"])), params)
         assert plaintext == bytes.fromhex(vector["plaintext"])
+
+
+@pytest.mark.parametrize("chunk_blocks", [cli._CHUNK_BLOCKS, 4])
+def test_cli_reproduces_and_opens_every_container(kat, tmp_path, capsys, monkeypatch,
+                                                  chunk_blocks):
+    # `rpca encrypt --seed` streams the file in chunks; 4-block chunks put edges in 4096 bytes
+    monkeypatch.setattr(cli, "_CHUNK_BLOCKS", chunk_blocks)
+    plain, sealed, opened = tmp_path / "plain", tmp_path / "sealed.rpca", tmp_path / "opened"
+    for vector in kat["containers"]:
+        plain.write_bytes(bytes.fromhex(vector["plaintext"]))
+        assert cli.main([
+            "encrypt", "--key", vector["key"], "--in", str(plain), "--out", str(sealed),
+            "--rounds", str(vector["rounds"]), "--steps", str(vector["caf_steps"]),
+            "--seed", vector["rid_seed"].encode().hex(),
+        ]) == 0
+        assert sealed.read_bytes().hex() == vector["container"]
+        assert cli.main(["decrypt", "--key", vector["key"], "--in", str(sealed),
+                         "--out", str(opened)]) == 0
+        assert opened.read_bytes() == plain.read_bytes()
+    capsys.readouterr()
 
 
 def test_block_vectors_match_oracles(kat):

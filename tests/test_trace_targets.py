@@ -15,7 +15,17 @@ ROOT = Path(__file__).resolve().parent.parent
 # imports, so second_order.* reads 0. ROADMAP item F (the next change to the
 # benchmark) moves those spans to cipher._caf_forward and _caf_backward; these
 # two entries go when it does.
-KNOWN_MISSING = {"cipher.so_iterate_forward", "cipher.so_iterate_backward"}
+#
+# The CLI streams a file in chunks, writing the header and records itself, so
+# it no longer looks up write_container or read_container and container.* reads
+# 0 on the bulk workloads. ROADMAP items S and F (the benchmark's per-layer
+# source) take these spans out of the CLI; these two entries go when they do.
+KNOWN_MISSING = {
+    "cipher.so_iterate_forward",
+    "cipher.so_iterate_backward",
+    "cli.write_container",
+    "cli.read_container",
+}
 
 
 class Recorder:
