@@ -12,6 +12,7 @@ import gc
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, wraps
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
@@ -303,20 +304,60 @@ def enumerate_reversible_elementary(radius: int, cell_sizes: Iterable[int]) -> s
     return reversible
 
 
-@dataclass(frozen=True)
+def _collector_paused(build: Callable[[CycleReport], list]) -> Callable[[CycleReport], list]:
+    """`build` run with the cyclic garbage collector paused: lists of ints hold
+    no reference cycles, so a collection while they are built would only rescan them."""
+    @wraps(build)
+    def paused(report: CycleReport) -> list:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(report)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@dataclass(frozen=True, eq=False)
 class CycleReport:
     """Exhaustive decomposition of the state space under the global map.
 
-    States are integer codes (see state_to_int). Every one of the 2^cells
-    states appears exactly once across cycles and transients.
+    States are integer codes (see state_to_int). `order` holds every one of
+    the 2^cells states exactly once, cycle by cycle and then the transients
+    ascending; `lengths` holds each cycle's length. Both are read-only int32
+    arrays. The `cycles` and `transient_states` lists are built from them on
+    first read, a block of cycles at a time with the collector paused, and kept.
     """
 
     cells: int
-    cycles: list[list[int]]
-    transient_states: list[int]
+    order: np.ndarray
+    lengths: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CycleReport):
+            return NotImplemented
+        return (self.cells == other.cells and np.array_equal(self.lengths, other.lengths)
+                and np.array_equal(self.order, other.order))
+
+    @cached_property
+    @_collector_paused
+    def cycles(self) -> list[list[int]]:
+        sizes, cycles, at = self.lengths.tolist(), [], 0
+        for c in range(0, len(sizes), _LIST_BLOCK):
+            block = sizes[c : c + _LIST_BLOCK]
+            states = self.order[at : at + sum(block)].tolist()
+            cycles += [states[end - size : end] for size, end in zip(block, accumulate(block))]
+            at += len(states)
+        return cycles
+
+    @cached_property
+    @_collector_paused
+    def transient_states(self) -> list[int]:
+        return self.order[int(self.lengths.sum()) :].tolist()
 
     def cycle_lengths(self) -> list[int]:
-        return [len(c) for c in self.cycles]
+        return self.lengths.tolist()
 
 
 def _cycle_order(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -406,25 +447,13 @@ def cycle_structure(
 
     Cycles come in the order walks from ascending start codes close them, each
     listed from the state where its walk entered it; transients ascend. The
-    successor map is decomposed in numpy into one order array; the lists are
-    built from it a block of cycles at a time, with the cyclic garbage
-    collector paused, so no list of every state is built beside them.
+    successor map is decomposed in numpy into the report's order and lengths
+    arrays; no list is built until the report's `cycles` or
+    `transient_states` is read.
     """
     order, lengths = _cycle_order(global_map(rules, boundary, cells))
-    sizes = lengths.tolist()
-    enabled = gc.isenabled()
-    gc.disable()  # lists of ints hold no reference cycles, so a collection only rescans them
-    try:
-        cycles, at = [], 0
-        for c in range(0, len(sizes), _LIST_BLOCK):
-            block = sizes[c : c + _LIST_BLOCK]
-            states = order[at : at + sum(block)].tolist()
-            cycles += [states[end - size : end] for size, end in zip(block, accumulate(block))]
-            at += len(states)
-        return CycleReport(cells=cells, cycles=cycles, transient_states=order[at:].tolist())
-    finally:
-        if enabled:
-            gc.enable()
+    order.flags.writeable = lengths.flags.writeable = False
+    return CycleReport(cells=cells, order=order, lengths=lengths)
 
 
 # --- text conversions -----------------------------------------------------
@@ -439,11 +468,6 @@ def parse_bits(text: str) -> np.ndarray:
 def format_bits(config: np.ndarray) -> str:
     """Render one configuration as an ASCII bit string, leftmost cell first."""
     return (as_config(config) + ord("0")).tobytes().decode("ascii")
-
-
-def format_state_int(code: int, cells: int) -> str:
-    """Render a state integer code as a bit string of the given width."""
-    return format(code, f"0{cells}b")
 
 
 def parse_rule_vector(text: str) -> list[Rule]:

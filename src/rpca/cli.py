@@ -56,6 +56,7 @@ RESEARCH_WARNING = (
 _WRONG_KEY_HINT = "wrong key or damaged file"
 # encrypt and decrypt hold one chunk of this many blocks (1 MiB of plaintext) at a time
 _CHUNK_BLOCKS = 1 << 16
+_FORMAT_BLOCK = 1 << 16  # states `rpca cycles` formats at a time
 
 
 class UsageError(Exception):
@@ -227,16 +228,33 @@ def _cmd_rules(args) -> int:
     return 0
 
 
+def _write_states(codes: np.ndarray, cells: int, sep: str, ends: np.ndarray) -> None:
+    """Write each code as `cells` bits, followed by `sep`, or by a newline at the
+    ascending indices `ends` (each one past a line's last code), 2^16 codes at a time.
+
+    A code's bytes are its bits as '0'/'1' and a two-byte separator column;
+    the 0 bytes of one-byte separators are dropped by one mask per chunk.
+    """
+    sep = np.frombuffer(sep.encode("ascii").ljust(2, b"\0"), np.uint8)
+    for lo in range(0, codes.size, _FORMAT_BLOCK):
+        chunk = codes[lo : lo + _FORMAT_BLOCK].astype(">u4").view(np.uint8).reshape(-1, 4)
+        text = np.empty((len(chunk), cells + 2), np.uint8)
+        np.add(np.unpackbits(chunk, axis=1)[:, 32 - cells :], ord("0"), out=text[:, :cells])
+        text[:, cells:] = sep
+        first, stop = np.searchsorted(ends, [lo, lo + len(chunk)], "right")
+        text[ends[first:stop] - 1 - lo, cells:] = (ord("\n"), 0)
+        sys.stdout.write(text[text != 0].tobytes().decode("ascii"))
+
+
 def _cmd_cycles(args) -> int:
     rules = ca.parse_rule_vector(args.rule_vector)
     report = ca.cycle_structure(rules, Boundary(args.boundary), args.cells)
-    for cycle in report.cycles:
-        print("->".join(ca.format_state_int(s, args.cells) for s in cycle))
-    if report.transient_states:
-        print(
-            "transients: "
-            + " ".join(ca.format_state_int(s, args.cells) for s in report.transient_states)
-        )
+    ends = np.cumsum(report.lengths)
+    _write_states(report.order[: ends[-1]], report.cells, "->", ends)
+    transients = report.order[ends[-1] :]
+    if transients.size:
+        sys.stdout.write("transients: ")
+        _write_states(transients, report.cells, " ", np.array([transients.size]))
     return 0
 
 

@@ -522,6 +522,32 @@ class TestCycleStructure:
             assert report.cycles == cycles
             assert report.transient_states == transients
 
+    @pytest.mark.parametrize("n", [1, 10, 4096])
+    @pytest.mark.parametrize("kind", CRAFTED_MAPS)
+    def test_cycle_lengths_are_plain_ints_of_the_walk(self, monkeypatch, kind, n):
+        succ = crafted_map(kind, n, np.random.default_rng([n, CRAFTED_MAPS.index(kind)]))
+        monkeypatch.setattr(ca, "global_map", lambda rules, boundary, cells: succ.copy())
+        lengths = ca.cycle_structure(ca.make_rule(1, 30), Boundary.CYCLIC, 12).cycle_lengths()
+        assert lengths == [len(cycle) for cycle in naive_cycle_walk(succ)[0]]
+        assert all(type(length) is int for length in lengths)
+
+    def test_order_and_lengths_are_read_only(self):
+        report = ca.cycle_structure(vector(204, 204, 240, 170), Boundary.NULL, 4)
+        assert report.order.dtype == report.lengths.dtype == np.int32
+        for array in (report.order, report.lengths):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_reports_compare_by_their_census(self):
+        # the generated dataclass __eq__ would call bool() on the arrays and raise
+        rules = vector(51, 51, 195, 153)
+        report = ca.cycle_structure(rules, Boundary.NULL, 4)
+        assert report == ca.cycle_structure(rules, Boundary.NULL, 4)
+        assert report != ca.cycle_structure(rules, Boundary.CYCLIC, 4)
+        assert report != ca.cycle_structure(ca.make_rule(1, 51), Boundary.NULL, 4)
+        assert report != ca.cycle_structure(vector(51, 51, 195, 153, 51), Boundary.NULL, 5)
+        assert report != (report.cells, report.cycles, report.transient_states)
+
     @pytest.mark.parametrize("n,size", [
         (10, 4), (10, 5), (10, 9), (257, 127), (257, 128), (257, 256),
         (4096, 2047), (4096, 2048), (4096, 4095),
@@ -554,11 +580,12 @@ class TestCycleStructure:
         rules = vector(*numbers_for(numbers, 20))
         tracemalloc.start()
         try:
-            ca.cycle_structure(rules, Boundary(boundary), 20)
+            report = ca.cycle_structure(rules, Boundary(boundary), 20)
+            report.cycles, report.transient_states
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 80 * 2**20  # the reports alone are 56 and 36 MiB
+        assert peak < 80 * 2**20  # the lists alone are 61 and 44 MiB
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     def test_lists_are_built_with_the_collector_paused(self, enabled):
@@ -576,14 +603,49 @@ class TestCycleStructure:
             (gc.enable if was else gc.disable)()
         assert collections == []
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("attr,numbers", [("cycles", (51, 51, 195, 153)),
+                                              ("transient_states", (204, 204, 240, 170))])
+    def test_lists_are_built_on_first_read_with_the_collector_paused(self, enabled, attr, numbers):
+        # 16,384 cycles of 4, or 65,280 transients. The collection that the paused
+        # allocations owe may start as soon as the build returns, so only the
+        # collections that start while the list-building function's frame is live count.
+        report = ca.cycle_structure(vector(*numbers_for(numbers, 16)), Boundary.NULL, 16)
+        assert attr not in vars(report)
+        build = vars(ca.CycleReport)[attr].func.__wrapped__.__code__
+        inside = []
+
+        def hook(phase, info):
+            frame = sys._getframe()
+            while frame is not None and frame.f_code is not build:
+                frame = frame.f_back
+            inside.append(frame is not None)
+
+        was, threshold = gc.isenabled(), gc.get_threshold()
+        (gc.enable if enabled else gc.disable)()
+        gc.collect()
+        gc.set_threshold(1)  # a running collector would start one every other list
+        gc.callbacks.append(hook)
+        try:
+            built = getattr(report, attr)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.callbacks.remove(hook)
+            gc.set_threshold(*threshold)
+            (gc.enable if was else gc.disable)()
+        assert not any(inside)
+        assert getattr(report, attr) is built  # kept, not rebuilt
+
     @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
     def test_twenty_cell_census_rss(self):
         # tracemalloc misses np.take's intp copy of its index: with 2^16-code blocks a
         # census child rose 101.6 -> 116.3 MiB while its traced peak stayed the same.
         # Measured here: a child that only imports rpca peaks at 31.5 MiB and one that
-        # runs this census at 101.6 MiB, 70.1 MiB more; allow about 5%.
-        census = ("ca.cycle_structure([ca.make_rule(1, n) for n in (51, 51, 195, 153) * 5], "
-                  "ca.Boundary.NULL, 20)")
+        # runs this census at 101.6 MiB, 70.1 MiB more; allow about 5%. The lists are
+        # built on first read, so the child reads them (71.4 MiB more).
+        census = ("rules = [ca.make_rule(1, n) for n in (51, 51, 195, 153) * 5]\n"
+                  "report = ca.cycle_structure(rules, ca.Boundary.NULL, 20)\n"
+                  "report.cycles, report.transient_states")
         extra = child_peak_mib(census) - child_peak_mib("")
         assert extra < 1.05 * 70.1
 
@@ -690,7 +752,6 @@ class TestTextHelpers:
         cfg = ca.parse_bits("1011")
         assert ca.state_to_int(cfg) == 0b1011
         assert np.array_equal(ca.int_to_state(0b1011, 4), cfg)
-        assert ca.format_state_int(3, 5) == "00011"
 
     @pytest.mark.parametrize("bad", [2, 256, -1])
     def test_state_to_int_rejects_a_cell_outside_zero_one(self, bad):

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import errno
+import hashlib
 import io
 import re
 import os
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpca import analysis, cli
+from rpca import analysis, ca, cli
+from rpca.ca import Boundary
 from rpca.cli import RESEARCH_WARNING, load_key, main
 from rpca.cipher import (
     CipherError,
@@ -643,6 +645,14 @@ class TestRules:
         assert "256" in err
 
 
+# sha256 of `rpca cycles --cells 20` stdout, formatted from the census lists one state at a time
+TWENTY_CELL_STDOUT = [
+    (",".join(["51,51,195,153"] * 5), "null",
+     "169805b53b1f3640f005961f537fa07892b645cb15fb4977821ef7eff7b45f50"),
+    ("30", "cyclic", "0dbe63895b8376dcccc1640f58b7e81e9bf2534d8b8a9e00fb7b0aff9273a7cf"),
+]
+
+
 class TestCycles:
     def test_legacy_vector_cycles(self, capsys):
         code, out, _ = run(
@@ -718,6 +728,46 @@ class TestCycles:
         assert out == ""
         assert "rule vector entry 1: rule_number out of range" in err
         assert "got 300" in err
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 1 << 16])
+    @pytest.mark.parametrize("vector,cells,boundary", [
+        ("30", 9, "cyclic"), ("204,204,240,170,204,204", 6, "null"),
+        ("51,51,195,153,51,51,195,153", 8, "cyclic"),
+    ])
+    def test_chunks_of_any_size_print_one_line_per_cycle(
+        self, capsys, monkeypatch, block, vector, cells, boundary
+    ):
+        # small blocks put cycle ends, and cycles, across chunk edges
+        report = ca.cycle_structure(ca.parse_rule_vector(vector), Boundary(boundary), cells)
+        bits = lambda code: format(code, f"0{cells}b")  # noqa: E731
+        expected = "".join("->".join(map(bits, cycle)) + "\n" for cycle in report.cycles)
+        if report.transient_states:
+            expected += "transients: " + " ".join(map(bits, report.transient_states)) + "\n"
+        monkeypatch.setattr(cli, "_FORMAT_BLOCK", block)
+        code, out, err = run(capsys, "cycles", "--rule-vector", vector, "--cells", str(cells),
+                             "--boundary", boundary)
+        assert (code, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize("vector,boundary,digest", TWENTY_CELL_STDOUT,
+                             ids=["vector-null", "30-cyclic"])
+    def test_twenty_cell_stdout_is_pinned(self, capsys, vector, boundary, digest):
+        code, out, err = run(
+            capsys, "cycles", "--rule-vector", vector, "--cells", "20", "--boundary", boundary
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+    @pytest.mark.parametrize("vector,boundary", [case[:2] for case in TWENTY_CELL_STDOUT],
+                             ids=["vector-null", "30-cyclic"])
+    def test_twenty_cell_command_peaks_under_70_mib(self, vector, boundary):
+        # Measured: 60.0-62.4 MiB, against 34.4 for a child that only imports rpca.cli.
+        # Formatting from the census lists, the command peaked at 105 and 188 MiB.
+        argv = ["cycles", "--rule-vector", vector, "--cells", "20", "--boundary", boundary]
+        code = ("import contextlib, os\nfrom rpca import cli\n"
+                "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+                f"    assert cli.main({argv!r}) == 0")
+        assert child_peak_mib(code) < 70
 
 
 class TestAvalancheCommand:
