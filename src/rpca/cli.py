@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import functools
 import os
 import secrets
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, ca
+from . import ca
 from .ca import Boundary
 from .cipher import (
     BLOCK_BYTES,
@@ -83,8 +84,8 @@ def load_key(value: str) -> SecretKey:
     """Accept a path to a 32-byte key file or a 64-hex-character string."""
     path = Path(value)
     if path.exists():
-        with path.open("rb") as f:
-            data = f.read(KEY_BYTES + 1)  # bounded: a device or pipe may never end
+        with path.open("rb", buffering=0) as f:  # unbuffered: a pipe keeps the bytes past 33
+            data = _read_up_to(f, KEY_BYTES + 1)  # bounded: a device or pipe may never end
         if len(data) != KEY_BYTES:
             found = "more" if len(data) > KEY_BYTES else len(data)
             raise KeyFormatError(f"key file {path} must hold exactly 32 bytes, found {found}")
@@ -102,14 +103,17 @@ def load_key(value: str) -> SecretKey:
 def _write_atomic(path: Path, mode: int = 0o666):
     """Yield an open binary file whose contents replace `path` on a clean exit.
 
-    For a regular path (or none yet) it is a temp file in the same directory,
-    created with `mode` (less the umask), so the data never sits in a file
-    with wider permissions. On a clean exit it is fsynced and renamed over
-    `path`, so after a crash `path` holds the old file or the whole new one.
-    A device or pipe (e.g. /dev/stdout) cannot be replaced: its data goes to
-    an unlinked temp file, copied out on a clean exit, and its mode is left
-    alone. On any exception the temp file is removed and `path` is untouched.
+    A directory fails at once. For a regular file (or none yet), links followed,
+    it is a temp file in the same directory, created with `mode` (less the
+    umask), so the data never sits in a file with wider permissions. On a clean
+    exit it is fsynced and renamed over the file, so after a crash the file
+    holds its old or its whole new data. A device or pipe (e.g. /dev/stdout)
+    cannot be replaced: its data goes to an unlinked temp file, copied out on a
+    clean exit, and its mode is left alone. On any exception the temp file is
+    removed and `path` is untouched.
     """
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     if path.exists() and not path.is_file():
         import shutil
         import tempfile  # only here: every other run starts without it
@@ -120,6 +124,7 @@ def _write_atomic(path: Path, mode: int = 0o666):
             with path.open("wb") as out:
                 shutil.copyfileobj(tmp, out)
         return
+    path = Path(os.path.realpath(path))  # not resolve(): that raises on a link loop
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     try:
         with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode), "wb") as f:
@@ -158,13 +163,11 @@ def _cmd_encrypt(args) -> int:
     length = 0
     with Path(args.infile).open("rb", buffering=0) as src, _write_atomic(Path(args.out)) as out:
         out.write(bytes(HEADER_LEN))  # the header goes here once the length is known
-        data = _read_up_to(src, chunk)
-        # a full chunk may be the last one, and only the last is padded: read one ahead
-        while len(data) == chunk and (ahead := _read_up_to(src, chunk)):
+        while len(data := _read_up_to(src, chunk)) == chunk:
             out.write(_encrypt_padded(data, key, params, rid_source(_CHUNK_BLOCKS)))
             length += chunk
-            data = ahead
-        out.write(encrypt_stream(data, key, params, rid_source))
+            del data  # freed before the next read, so one chunk is alive at a time
+        out.write(encrypt_stream(data, key, params, rid_source))  # the rest, maybe b"", padded
         length += len(data)
         out.seek(0)
         out.write(pack_header(ContainerHeader(params.rounds, params.caf_steps, length)))
@@ -191,9 +194,9 @@ def _cmd_decrypt(args) -> int:
         n = header.expected_records()
         last = (n - 1) // _CHUNK_BLOCKS * _CHUNK_BLOCKS  # where the last chunk starts
         with _write_atomic(Path(args.out)) as out:
-            for start in range(0, last, _CHUNK_BLOCKS):
-                records = _read_records(src, header, start, _CHUNK_BLOCKS)
-                out.write(_decrypt_records_raw(records, key, params))
+            for start in range(0, last, _CHUNK_BLOCKS):  # no name keeps a chunk past its write
+                out.write(_decrypt_records_raw(_read_records(src, header, start, _CHUNK_BLOCKS),
+                                               key, params))
             records = _read_records(src, header, last, n - last)
             if src.read(1):
                 raise ContainerLengthError(
@@ -271,6 +274,8 @@ def _print_report(title: str, values: dict, digits: int) -> None:
 
 
 def _cmd_avalanche(args) -> int:
+    from . import analysis  # only here and in bench: it imports multiprocessing
+
     rng, key = _rng_and_key(args)
     params = CipherParams(rounds=args.rounds, caf_steps=args.steps)
     report = analysis.avalanche(key, params, args.trials, args.flip, rng=rng)
@@ -286,6 +291,8 @@ def _cmd_avalanche(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import analysis
+
     rng, key = _rng_and_key(args)
     params = CipherParams(rounds=args.rounds, caf_steps=args.steps)
     report = analysis.throughput_bench(key, params, args.mb, args.workers, rng=rng)

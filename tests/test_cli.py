@@ -331,10 +331,12 @@ class TestEncryptDecrypt:
 CHUNK = 4  # blocks per chunk in the tests below, so chunk edges fall every 64 bytes
 EDGE_KEY = "3c" * 32
 EDGE_PARAMS = CipherParams(rounds=2, caf_steps=4)
-# 0-17 bytes, then chunk - 1, chunk and chunk + 1 blocks, each also +- 1 byte, then three chunks
+# 0-17 bytes, then chunk - 1, chunk and chunk + 1 blocks, each also +- 1 byte, then two
+# whole chunks (an empty read follows them, and the padding block is a chunk of its own)
+# and three chunks and a bit
 EDGE_SIZES = [0, 1, 15, 16, 17] + [
     16 * blocks + d for blocks in (CHUNK - 1, CHUNK, CHUNK + 1) for d in (-1, 0, 1)
-] + [16 * 3 * CHUNK + 5]
+] + [16 * 2 * CHUNK, 16 * 3 * CHUNK + 5]
 
 
 def sealed(plain: bytes, seed: bytes) -> bytes:
@@ -495,6 +497,60 @@ class TestChunkedStreams:
                 peaks[name, mb] = child_peak_mib(code)
         for name in ("encrypt --seed", "encrypt", "decrypt"):
             assert peaks[name, 8] - peaks[name, 1] < 4, (name, peaks)
+
+
+class TestOutputPaths:
+    """`--out` names the file to replace: a link is followed, a directory fails first."""
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="names an open file by /proc/self/fd")
+    def test_an_fd_link_to_a_file_writes_that_file(self, tmp_path, capsys):
+        # as /dev/stdout does when stdout is redirected to a file
+        target = tmp_path / "k.key"
+        target.write_bytes(b"old")
+        fd = os.open(target, os.O_WRONLY)
+        try:
+            code, _, err = run(capsys, "keygen", "--out", f"/proc/self/fd/{fd}", "--seed", "01")
+        finally:
+            os.close(fd)
+        assert code == 0, err
+        assert target.read_bytes() == SeededRidSource(b"\x01/keygen")(2)
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_a_symlink_stays_and_its_target_is_replaced(self, tmp_path, capsys):
+        target, link = tmp_path / "k.key", tmp_path / "link.key"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        assert run(capsys, "keygen", "--out", str(link), "--seed", "01")[0] == 0
+        assert os.readlink(link) == str(target)
+        assert target.read_bytes() == SeededRidSource(b"\x01/keygen")(2)
+        assert sorted(tmp_path.iterdir()) == [target, link]
+
+    def test_a_symlink_loop_is_replaced_by_the_file(self, tmp_path, capsys):
+        loop = tmp_path / "loop"
+        loop.symlink_to(loop)
+        assert run(capsys, "keygen", "--out", str(loop), "--seed", "01")[0] == 0
+        assert not loop.is_symlink()
+        assert loop.read_bytes() == SeededRidSource(b"\x01/keygen")(2)
+        assert list(tmp_path.iterdir()) == [loop]
+
+    @pytest.mark.parametrize("command", ["keygen", "encrypt", "decrypt"])
+    def test_a_directory_fails_before_any_block_is_processed(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        plain, enc, outdir = tmp_path / "plain", tmp_path / "sealed.rpca", tmp_path / "outdir"
+        plain.write_bytes(bytes(100))
+        enc.write_bytes(sealed(bytes(100), b"x"))
+        outdir.mkdir()
+        for name in ("_encrypt_padded", "encrypt_stream", "_decrypt_records_raw",
+                     "decrypt_stream"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+        argv = {"keygen": ["keygen", "--out", str(outdir)],
+                "encrypt": edge_argv("encrypt", plain, outdir),
+                "decrypt": edge_argv("decrypt", enc, outdir)}[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{outdir}'" in err
+        assert list(outdir.iterdir()) == []
 
 
 FUZZ_CONTAINERS = [sealed(bytes(range(size)), b"fuzz") for size in (0, 70, 150)]  # 1, 2, 3 chunks
@@ -933,6 +989,21 @@ class TestLoadKey:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="opens a named pipe read-write")
+    def test_a_key_pipe_is_read_no_further_than_its_33rd_byte(self, tmp_path):
+        fifo = tmp_path / "key.fifo"
+        os.mkfifo(fifo)
+        # the test holds the write end, so the bytes load_key leaves stay in the pipe
+        fd = os.open(fifo, os.O_RDWR | os.O_NONBLOCK)
+        try:
+            os.write(fd, bytes(range(100)))
+            with pytest.raises(KeyFormatError, match="exactly 32 bytes, found more"):
+                load_key(str(fifo))
+            left = os.read(fd, 1024)
+        finally:
+            os.close(fd)
+        assert left == bytes(range(33, 100))
 
     def test_rejects_sixty_four_characters_that_are_not_hex(self):
         with pytest.raises(KeyFormatError, match="neither an existing key file"):

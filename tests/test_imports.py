@@ -3,15 +3,19 @@ every private module-level name in src/rpca must be read somewhere in src/, and
 every top-level function in tests/helpers.py must be read by a test module, by
 perfbench/ or by another helper, the messages of a count check ("must be an
 integer", "must be >=") must appear in src/rpca only inside `ca.as_count`, and no
-loop in src/rpca may call a one-shot step API.
+loop in src/rpca may call a one-shot step API, and importing rpca.cli must not load
+the process pool that only `avalanche` and `bench` use.
 
-The checks read source with the standard library's `ast` only: an imported
+The source checks read source with the standard library's `ast` only: an imported
 name counts as used when it appears as a name anywhere in the module (an
 attribute chain counts through its first name) or is listed in `__all__`.
 `from __future__` imports are exempt. A private name (`_x`, not a dunder)
 counts as read when it is loaded as a name or as an attribute.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -235,3 +239,13 @@ def test_every_oracle_is_read():
     found = [f"tests/helpers.py:{line}: {name}"
              for line, name in unread_functions(HELPERS.read_text(), read)]
     assert not found, "oracles nothing compares against:\n" + "\n".join(found)
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # every command imports rpca.cli; only avalanche and bench need analysis and its pool
+    pool = ["concurrent.futures.process", "multiprocessing", "rpca.analysis"]
+    script = f"import sys, rpca.cli\nprint(sorted(set({pool!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"
