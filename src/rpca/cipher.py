@@ -27,12 +27,11 @@ constants they select, so a round is two gathers and in-place arithmetic on
 one copy of the rows. A SecretKey builds both on first use and keeps them
 while it lives, so reuse one SecretKey for a key's traffic.
 
-All operations here are pure given an explicit rid; batch variants process
-a whole stream of blocks as one numpy matrix. A stream's records are one
-read-only (n, 32) uint8 array, row i holding block i's wire record (16
-ciphertext bytes, then 16 masked final-data bytes); the parameters live only
-in CipherParams, as they live only in the container header on disk.
-CipherRecord is the single-block view returned by encrypt_block.
+All operations here are pure given an explicit rid. A stream's records are
+one read-only (n, 32) uint8 array, row i holding block i's 16 ciphertext
+bytes, then its 16 masked final-data bytes; in the stream path only _records
+and _unmask know this layout and the mask. CipherParams holds the parameters,
+as the container header does on disk; CipherRecord is one block's record.
 """
 from __future__ import annotations
 
@@ -406,11 +405,25 @@ def _caf_backward(
     return states
 
 
+def _records(ciphertext: np.ndarray, final_data: np.ndarray, key: SecretKey) -> np.ndarray:
+    """Read-only row-major (n, 32) records: ciphertext rows, then masked final data."""
+    records = np.empty((len(ciphertext), RECORD_BYTES), np.uint8)
+    records[:, :BLOCK_BYTES] = ciphertext
+    mask = np.frombuffer(key.caf_segment, np.uint8)
+    np.bitwise_xor(final_data, mask, out=records[:, BLOCK_BYTES:])
+    records.flags.writeable = False
+    return records
+
+
+def _unmask(records: np.ndarray, key: SecretKey) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of _records: the (ciphertext, final data) rows of (n, 32) records."""
+    mask = np.frombuffer(key.caf_segment, np.uint8)
+    return records[:, :BLOCK_BYTES], records[:, BLOCK_BYTES:] ^ mask
+
+
 def mask_final_data(final_data: bytes, key: SecretKey) -> bytes:
     """Vernam-mask the final data with the 128-bit key segment; self-inverse."""
-    value = _block(final_data, "final_data")
-    mask = np.frombuffer(key.caf_segment, dtype=np.uint8)
-    return (value ^ mask).tobytes()
+    return (_block(final_data, "final_data") ^ np.frombuffer(key.caf_segment, np.uint8)).tobytes()
 
 
 # --- single-block API --------------------------------------------------------
@@ -475,12 +488,7 @@ def _encrypt_padded(
     rid_rows = np.frombuffer(rids, dtype=np.uint8).reshape(n_blocks, BLOCK_BYTES)
     cipher_bytes, final_bytes = _caf_forward(y.T, rid_rows, key, params.caf_steps)
     del y, rids, rid_rows  # freed before the records are built, which sets the peak
-    records = np.empty((n_blocks, RECORD_BYTES), np.uint8)  # row-major: written out in one copy
-    records[:, :BLOCK_BYTES] = cipher_bytes
-    mask = np.frombuffer(key.caf_segment, dtype=np.uint8)
-    np.bitwise_xor(final_bytes, mask, out=records[:, BLOCK_BYTES:])
-    records.flags.writeable = False
-    return records
+    return _records(cipher_bytes, final_bytes, key)
 
 
 def _decrypt_records_raw(records: np.ndarray, key: SecretKey, params: CipherParams) -> bytes:
@@ -491,11 +499,8 @@ def _decrypt_records_raw(records: np.ndarray, key: SecretKey, params: CipherPara
             f"records must be a non-empty (n, {RECORD_BYTES}) uint8 array, "
             f"got {records.dtype} {records.shape}"
         )
-    final_bytes = records[:, BLOCK_BYTES:] ^ np.frombuffer(key.caf_segment, dtype=np.uint8)
-    states = _caf_backward(records[:, :BLOCK_BYTES], final_bytes, key, params.caf_steps)
-    del final_bytes  # freed before the rounds' two working arrays
-    y = _rounds(states.T, key._key_schedule[: params.rounds], True)
-    return y.T.tobytes()
+    states = _caf_backward(*_unmask(records, key), key, params.caf_steps)
+    return _rounds(states.T, key._key_schedule[: params.rounds], True).T.tobytes()
 
 
 def encrypt_stream(

@@ -107,21 +107,28 @@ def _write_atomic(path: Path, mode: int = 0o666):
     it is a temp file in the same directory, created with `mode` (less the
     umask), so the data never sits in a file with wider permissions. On a clean
     exit it is fsynced and renamed over the file, so after a crash the file
-    holds its old or its whole new data. A device or pipe (e.g. /dev/stdout)
-    cannot be replaced: its data goes to an unlinked temp file, copied out on a
-    clean exit, and its mode is left alone. On any exception the temp file is
-    removed and `path` is untouched.
+    holds its old or its whole new data. A device or pipe cannot be replaced,
+    nor can the process's own stdout (e.g. /dev/stdout redirected to a file):
+    the data goes to an unlinked temp file, copied out on a clean exit, and the
+    mode is left alone. Stdout's file is written through fd 1, never reopened,
+    so an append redirect is appended to and the status line follows the data.
+    On any exception the temp file is removed and `path` is untouched.
     """
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    if path.exists() and not path.is_file():
+    try:
+        is_stdout = os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:  # no such file, or fd 1 is closed
+        is_stdout = False
+    if is_stdout or (path.exists() and not path.is_file()):
         import shutil
         import tempfile  # only here: every other run starts without it
 
         with tempfile.TemporaryFile() as tmp:
             yield tmp
             tmp.seek(0)
-            with path.open("wb") as out:
+            sys.stdout.flush()
+            with open(1, "wb", closefd=False) if is_stdout else path.open("wb") as out:
                 shutil.copyfileobj(tmp, out)
         return
     path = Path(os.path.realpath(path))  # not resolve(): that raises on a link loop

@@ -6,6 +6,7 @@ import io
 import re
 import os
 import stat
+import subprocess
 import sys
 import tempfile
 import threading
@@ -31,7 +32,7 @@ from rpca.cipher import (
 )
 from rpca.container import ContainerError, ContainerHeader, read_container, write_container
 
-from helpers import child_peak_mib
+from helpers import SRC, child_peak_mib
 
 
 class NoDraws:
@@ -499,6 +500,13 @@ class TestChunkedStreams:
             assert peaks[name, 8] - peaks[name, 1] < 4, (name, peaks)
 
 
+def rpca_child(argv: list[str], stdout) -> subprocess.CompletedProcess:
+    """Run `rpca argv` in a fresh interpreter with `stdout` as its fd 1; exit 0 required."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "rpca.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, check=True)
+
+
 class TestOutputPaths:
     """`--out` names the file to replace: a link is followed, a directory fails first."""
 
@@ -515,6 +523,37 @@ class TestOutputPaths:
         assert code == 0, err
         assert target.read_bytes() == SeededRidSource(b"\x01/keygen")(2)
         assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize("redirect", ["ab", "wb", "pipe"])
+    def test_out_to_dev_stdout_writes_through_stdout(self, tmp_path, redirect):
+        # the shell's `>> g`, `> g` and `| ...`: the key, then the status line, after what was there
+        g = tmp_path / "g"
+        g.write_bytes(b"earlier\n")
+        argv = ["keygen", "--out", "/dev/stdout", "--seed", "01"]
+        if redirect == "pipe":
+            got = rpca_child(argv, subprocess.PIPE).stdout
+        else:
+            with g.open(redirect) as stdout:
+                rpca_child(argv, stdout)
+            got = g.read_bytes()
+        earlier = b"earlier\n" if redirect == "ab" else b""
+        line = b"wrote 32-byte key to /dev/stdout\n"
+        assert got == earlier + SeededRidSource(b"\x01/keygen")(2) + line
+        assert sorted(tmp_path.iterdir()) == [g]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_encrypt_to_dev_stdout_appends_the_container(self, tmp_path, capsys):
+        plain, sealed_file, g = tmp_path / "plain", tmp_path / "sealed.rpca", tmp_path / "g"
+        plain.write_bytes(bytes(range(100)))
+        g.write_bytes(b"earlier\n")
+        argv = ["encrypt", "--key", EDGE_KEY, "--in", str(plain), "--seed", "0c"]
+        assert run(capsys, *argv, "--out", str(sealed_file))[0] == 0
+        with g.open("ab") as stdout:
+            rpca_child([*argv, "--out", "/dev/stdout"], stdout)
+        got = g.read_bytes()
+        assert got.startswith(b"earlier\n" + sealed_file.read_bytes())
+        assert got.endswith(b"-> /dev/stdout\n")
 
     def test_a_symlink_stays_and_its_target_is_replaced(self, tmp_path, capsys):
         target, link = tmp_path / "k.key", tmp_path / "link.key"
