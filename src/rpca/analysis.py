@@ -21,7 +21,7 @@ from .cipher import BLOCK_BYTES, CipherParams, SecretKey, SeededRidSource
 
 FLIP_TARGETS = ("plaintext", "key")
 MAX_WORKERS = 64  # throughput_bench's process cap; fixed, so a count means the same on any host
-MAX_MEGABYTES = 1024  # throughput_bench's payload cap, fixed like MAX_WORKERS
+MAX_MEGABYTES = 64  # throughput_bench's payload cap: its peak stays under 1 GiB (610 MiB at 64)
 MAX_TRIALS = 1_000_000  # avalanche's trial cap: a trial holds about 300 bytes at once
 
 
@@ -134,10 +134,12 @@ def throughput_bench(
 ) -> ThroughputReport:
     """Wall-clock throughput of stream encryption, serial and multi-process.
 
-    Uses a deterministic rid stream so the multi-worker output must be
-    byte-identical to the serial one; that equality plus a full round trip
-    back to the payload is checked on every run. Worker processes are started
-    before timing begins, mirroring a long-lived tool's steady state.
+    The padded payload and a deterministic rid stream are cut into one slab
+    per worker. Each stage is mapped over the slabs in this process (the serial
+    run), then over the pool, so the serial run makes the workers' calls and
+    pays their per-call cost. The pool's records must equal the serial ones and
+    every decryption must give back its slab; both are checked on every run.
+    Workers are started before timing begins, as in a long-lived tool.
     `workers` must be in 1..MAX_WORKERS; None means one per CPU, up to that.
     """
     megabytes = ca.as_count(megabytes, "megabytes", 1, MAX_MEGABYTES)
@@ -145,54 +147,29 @@ def throughput_bench(
         workers = min(os.cpu_count() or 1, MAX_WORKERS)
     workers = ca.as_count(workers, "workers", 1, MAX_WORKERS)
     rng = rng or np.random.default_rng()
-    payload = rng.bytes(megabytes * 1_000_000)
-    mb = len(payload) / 1e6
-
-    padded = cipher.pad(payload)
+    padded = cipher.pad(rng.bytes(megabytes * 1_000_000))
     n_blocks = len(padded) // BLOCK_BYTES
     rids = SeededRidSource(b"bench-rid")(n_blocks)
+    per = -(-n_blocks // workers) * BLOCK_BYTES  # slab bytes, rounded up; the last may be short
+    plain = [padded[lo : lo + per] for lo in range(0, len(padded), per)]
+    rid_slabs = [rids[lo : lo + per] for lo in range(0, len(rids), per)]
+    del padded, rids  # only the slabs are kept
 
-    t0 = time.perf_counter()
-    serial_records = cipher._encrypt_padded(padded, key, params, rids)
-    t_enc = time.perf_counter() - t0
+    seconds = []  # encrypt, decrypt; serial, then multi
 
-    t0 = time.perf_counter()
-    serial_padded = cipher._decrypt_records_raw(serial_records, key, params)
-    t_dec = time.perf_counter() - t0
-    round_trip_ok = cipher.unpad(serial_padded) == payload
+    def timed(mapper, stage, data, *more):
+        t0 = time.perf_counter()
+        parts = list(mapper(stage, data, repeat(key), repeat(params), *more))
+        seconds.append(time.perf_counter() - t0)
+        return parts
 
-    per = -(-n_blocks // workers)  # blocks per slab, rounded up; the last may be short
-    starts = range(0, n_blocks, per)
-    padded_slabs = [padded[lo * BLOCK_BYTES : (lo + per) * BLOCK_BYTES] for lo in starts]
-    rid_slabs = [rids[lo * BLOCK_BYTES : (lo + per) * BLOCK_BYTES] for lo in starts]
-    record_slabs = [serial_records[lo : lo + per] for lo in starts]
+    records = timed(map, cipher._encrypt_padded, plain, rid_slabs)
+    round_trip_ok = timed(map, cipher._decrypt_records_raw, records) == plain
     with ProcessPoolExecutor(max_workers=workers) as pool:
         list(pool.map(int, range(workers)))  # spin the workers up
+        enc_parts = timed(pool.map, cipher._encrypt_padded, plain, rid_slabs)
+        dec_parts = timed(pool.map, cipher._decrypt_records_raw, records)
+    parallel_ok = all(map(np.array_equal, enc_parts, records)) and dec_parts == plain
 
-        t0 = time.perf_counter()
-        enc_parts = list(
-            pool.map(cipher._encrypt_padded, padded_slabs, repeat(key), repeat(params), rid_slabs)
-        )
-        t_enc_multi = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        dec_parts = list(
-            pool.map(cipher._decrypt_records_raw, record_slabs, repeat(key), repeat(params))
-        )
-        t_dec_multi = time.perf_counter() - t0
-
-    parallel_ok = (
-        np.array_equal(np.concatenate(enc_parts), serial_records)
-        and b"".join(dec_parts) == serial_padded
-    )
-
-    return ThroughputReport(
-        megabytes=megabytes,
-        workers=workers,
-        encrypt_single_mbps=mb / t_enc,
-        decrypt_single_mbps=mb / t_dec,
-        encrypt_multi_mbps=mb / t_enc_multi,
-        decrypt_multi_mbps=mb / t_dec_multi,
-        round_trip_ok=round_trip_ok,
-        parallel_matches_serial=parallel_ok,
-    )
+    return ThroughputReport(megabytes, workers, *(megabytes / s for s in seconds),
+                            round_trip_ok, parallel_ok)

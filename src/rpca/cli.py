@@ -190,17 +190,38 @@ def _read_records(src, header: ContainerHeader, start: int, count: int) -> np.nd
     return np.frombuffer(body, np.uint8).reshape(count, RECORD_BYTES)
 
 
+def _open_tail(records: np.ndarray, header: ContainerHeader, key: SecretKey,
+               params: CipherParams) -> bytes:
+    """The plaintext of `records`, a run that ends with the container's last record;
+    a bad trailer, or a length not the header's, means a wrong key or a damaged file."""
+    n = header.expected_records()
+    try:
+        data = decrypt_stream(records, key, params)
+    except PaddingError as exc:  # the trailer is in the last block
+        where = f"block {n - 1}, the record at byte {HEADER_LEN + RECORD_BYTES * (n - 1)}"
+        raise PaddingError(f"{exc} in {where}: {_WRONG_KEY_HINT}") from exc
+    length = BLOCK_BYTES * (n - len(records)) + len(data)
+    if length != header.plaintext_length:
+        raise ContainerError(f"decrypted length {length} disagrees with header "
+                             f"{header.plaintext_length}: {_WRONG_KEY_HINT}")
+    return data
+
+
 def _cmd_decrypt(args) -> int:
     key = load_key(args.key)
     with Path(args.infile).open("rb", buffering=0) as src:
         header = parse_header(_read_up_to(src, HEADER_LEN))
         info = os.fstat(src.fileno())
-        if stat.S_ISREG(info.st_mode):  # a file's size is known: check it before decrypting
+        is_file = stat.S_ISREG(info.st_mode)
+        if is_file:  # a file's size is known: check it before decrypting
             header.check_length(info.st_size)
         params = CipherParams(rounds=header.rounds, caf_steps=header.caf_steps)
         n = header.expected_records()
         last = (n - 1) // _CHUNK_BLOCKS * _CHUNK_BLOCKS  # where the last chunk starts
         with _write_atomic(Path(args.out)) as out:
+            if is_file and last:  # a wrong key fails on the last record, before the bulk
+                tail = os.pread(src.fileno(), RECORD_BYTES, info.st_size - RECORD_BYTES)
+                _open_tail(np.frombuffer(tail, np.uint8).reshape(1, -1), header, key, params)
             for start in range(0, last, _CHUNK_BLOCKS):  # no name keeps a chunk past its write
                 out.write(_decrypt_records_raw(_read_records(src, header, start, _CHUNK_BLOCKS),
                                                key, params))
@@ -209,17 +230,8 @@ def _cmd_decrypt(args) -> int:
                 raise ContainerLengthError(
                     f"input continues past the {n} records the header announces"
                 )
-            try:
-                data = decrypt_stream(records, key, params)
-            except PaddingError as exc:  # the trailer is in the last block
-                where = f"block {n - 1}, the record at byte {HEADER_LEN + RECORD_BYTES * (n - 1)}"
-                raise PaddingError(f"{exc} in {where}: {_WRONG_KEY_HINT}") from exc
-            length = BLOCK_BYTES * last + len(data)
-            if length != header.plaintext_length:
-                raise ContainerError(f"decrypted length {length} disagrees with header "
-                                     f"{header.plaintext_length}: {_WRONG_KEY_HINT}")
-            out.write(data)
-    print(f"decrypted {n} blocks -> {args.out} ({length} bytes)")
+            out.write(_open_tail(records, header, key, params))
+    print(f"decrypted {n} blocks -> {args.out} ({header.plaintext_length} bytes)")
     return 0
 
 

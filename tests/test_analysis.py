@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rpca import analysis
+from rpca import analysis, cipher
 from rpca.analysis import (
     MAX_MEGABYTES,
     MAX_TRIALS,
@@ -127,6 +129,21 @@ class TestThroughputBench:
                                   rng=np.random.default_rng(4))
         assert report.workers == 1
         assert report.round_trip_ok and report.parallel_matches_serial
+
+    def test_peak_memory_is_a_small_multiple_of_the_payload(self):
+        # the serial and the pooled runs share one set of slabs, so the peak holds
+        # a few copies of the payload, not whole-payload records beside them
+        key, params = key_for(5), CipherParams(rounds=1, caf_steps=2)
+        cipher._encrypt_padded(bytes(16), key, params, bytes(16))  # expands the key untraced
+        tracemalloc.start()
+        try:
+            report = throughput_bench(key, params, megabytes=2, workers=2,
+                                      rng=np.random.default_rng(6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.round_trip_ok and report.parallel_matches_serial
+        assert peak < 12 * 2_000_000, f"peak {peak / 2_000_000:.1f}x the payload"
 
     def test_encrypt_speedup_is_multi_over_single(self):
         report = ThroughputReport(1, 2, 0.5, 0.6, 1.5, 1.2, True, True)

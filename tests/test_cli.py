@@ -363,6 +363,10 @@ def source(path: Path, data: bytes, through: str) -> threading.Thread | None:
     return feeder
 
 
+NEEDS_FIFO = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+THROUGH = ["file", pytest.param("fifo", marks=NEEDS_FIFO)]
+
+
 def edge_argv(command: str, infile: Path, outfile: Path) -> list[str]:
     argv = [command, "--key", EDGE_KEY, "--in", str(infile), "--out", str(outfile)]
     if command == "encrypt":
@@ -374,11 +378,7 @@ def edge_argv(command: str, infile: Path, outfile: Path) -> list[str]:
 class TestChunkedStreams:
     """encrypt and decrypt hold one chunk at a time; the bytes are the whole-stream ones."""
 
-    @pytest.mark.parametrize("through", [
-        "file",
-        pytest.param("fifo", marks=pytest.mark.skipif(not hasattr(os, "mkfifo"),
-                                                      reason="needs named pipes")),
-    ])
+    @pytest.mark.parametrize("through", THROUGH)
     @pytest.mark.parametrize("size", EDGE_SIZES)
     def test_chunk_edges_leave_the_bytes_as_in_one_piece(
         self, tmp_path, capsys, monkeypatch, size, through
@@ -427,22 +427,70 @@ class TestChunkedStreams:
         assert path.read_bytes() == plain
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_errors_in_the_last_chunk_name_the_global_block(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("through", THROUGH)  # a pipe is checked only at its end
+    def test_errors_in_the_last_chunk_name_the_global_block(
+        self, tmp_path, capsys, monkeypatch, through
+    ):
         monkeypatch.setattr(cli, "_CHUNK_BLOCKS", CHUNK)
         enc, dec = tmp_path / "sealed.rpca", tmp_path / "opened.bin"
         blob = bytearray(sealed(bytes(100), b"x"))  # 7 records: a full chunk, then 3
-        enc.write_bytes(bytes(blob))
+        feeders = [source(enc, bytes(blob), through)]
         code, _, err = run(capsys, "decrypt", "--key", "5a" * 32, "--in", str(enc),
                            "--out", str(dec))
         assert code == 2
         assert "invalid padding trailer" in err
         assert "block 6, the record at byte 210: wrong key or damaged file" in err
         blob[8:16] = (99).to_bytes(8, "big")  # still 7 records, but not the decrypted length
-        enc.write_bytes(bytes(blob))
+        enc = tmp_path / "relabelled.rpca"
+        feeders.append(source(enc, bytes(blob), through))
         code, _, err = run(capsys, *edge_argv("decrypt", enc, dec))
         assert code == 2
         assert "decrypted length 100 disagrees with header 99: wrong key" in err
         assert not dec.exists()
+        for feeder in filter(None, feeders):
+            feeder.join(timeout=10)
+            assert not feeder.is_alive()
+
+    def test_a_wrong_key_fails_on_the_last_record_before_any_chunk(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_CHUNK_BLOCKS", CHUNK)
+        monkeypatch.setattr(cli, "_decrypt_records_raw",
+                            lambda *args: pytest.fail("a chunk was decrypted before the tail"))
+        enc, dec = tmp_path / "sealed.rpca", tmp_path / "opened.bin"
+        enc.write_bytes(sealed(bytes(100), b"x"))  # 7 records: a full chunk, then 3
+        dec.write_bytes(b"earlier")
+        code, _, err = run(capsys, "decrypt", "--key", "5a" * 32, "--in", str(enc),
+                           "--out", str(dec))
+        assert code == 2
+        assert "block 6, the record at byte 210: wrong key or damaged file" in err
+        assert dec.read_bytes() == b"earlier"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["opened.bin", "sealed.rpca"]
+
+    @pytest.mark.parametrize("through,size,runs", [
+        ("file", 40, [3]),  # 3 records, one chunk: the late check alone
+        ("file", 100, [1, 3]),  # 7 records: the last record first, then the last chunk
+        pytest.param("fifo", 100, [3], marks=NEEDS_FIFO),  # a pipe only at its end
+    ])
+    def test_the_tail_is_opened_early_only_for_a_file_of_several_chunks(
+        self, tmp_path, capsys, monkeypatch, through, size, runs
+    ):
+        monkeypatch.setattr(cli, "_CHUNK_BLOCKS", CHUNK)
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return decrypt_stream(*args)
+
+        monkeypatch.setattr(cli, "decrypt_stream", counted)
+        enc, dec = tmp_path / "sealed.rpca", tmp_path / "opened.bin"
+        feeder = source(enc, sealed(bytes(size), b"x"), through)
+        assert run(capsys, *edge_argv("decrypt", enc, dec))[0] == 0
+        assert dec.read_bytes() == bytes(size)
+        assert calls == runs  # records per decrypt_stream call
+        if feeder:
+            feeder.join(timeout=10)
+            assert not feeder.is_alive()
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
     def test_endless_zeros_fail_on_the_magic(self, tmp_path, capsys):
