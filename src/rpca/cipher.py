@@ -20,7 +20,7 @@ Nothing here unpacks bits. A stream's blocks are transposed once into
 (16, n) byte-position rows, row j holding byte j of every block: each round
 transform is a few whole-row operations on them, and the core steps the same
 rows, one gather per step from the key's window table (packed_rule_table,
-16 KiB at radius 3). Key setup runs the material automata on that kernel
+32 KiB at radius 3). Key setup runs the material automata on that kernel
 over (64, 8) packed rows, one per round, into the key's schedule: one
 read-only (64, 8, 16) array of each round's four material rows and the
 constants they select, so a round is two gathers and in-place arithmetic on

@@ -15,7 +15,8 @@ byte depends on an (8+2r)-bit window (the low r bits of the byte to its left,
 the byte, the high r bits of the byte to its right), so one step is a single
 gather from the rule's packed_rule_table, whose entries already hold the
 XNOR's complement, then an XOR with the previous row. Byte positions are
-rows, so a window is shifts and ORs of whole neighbouring rows.
+rows, and the kernel holds each byte r bits up in uint16, as the table holds
+its entries: a window is then left << 8 | byte | right >> 8, masked, for any r.
 """
 from __future__ import annotations
 
@@ -64,22 +65,24 @@ def so_iterate_backward(
 
 
 def packed_rule_table(rule: Rule) -> np.ndarray:
-    """Read-only uint8[2^(8+2r)] table: window value -> NOT of the 8 rule outputs.
+    """Read-only uint16[2^(8+2r)] table in so_iterate_packed's form: window value
+    -> NOT of the 8 rule outputs, shifted up by r as the kernel holds its bytes.
 
     Built from the 2^(4+2r)-entry ca._window_table of 4 cells, complemented: the
     high nibble of a window's byte reads the window's top 4+2r bits, the low
     nibble its bottom 4+2r bits, and the two share the middle 2r bits.
     """
-    nibble = _window_table([rule] * 4) ^ 0xF  # complement for the XNOR
+    nibble = (_window_table([rule] * 4) ^ 0xF).astype(np.uint16) << rule.radius
     mid = 1 << (2 * rule.radius)
     table = ((nibble.reshape(16, mid)[:, :, None] << 4) | nibble.reshape(mid, 16)).ravel()
     table.setflags(write=False)
     return table
 
 
-# Window indices per block in so_iterate_packed: about 18 bytes each, cache-resident.
-_CHUNK = 16384
-_SHIFTS = [np.array(k, np.uint16) for k in range(9 + MAX_RADIUS)]  # 0-d: cheaper than ints
+# Window indices per block in so_iterate_packed: about 18 bytes each, so a
+# block's state and scratch (about 0.6 MB) stay in a 2 MiB L2 for all its steps.
+_CHUNK = 32768
+_SHIFTS = [np.array(k, np.uint16) for k in range(9)]  # 0-d: cheaper than ints
 
 
 def so_iterate_packed(
@@ -93,8 +96,9 @@ def so_iterate_packed(
     trajectory backwards, returning the earlier pair swapped.
 
     Row j + 1 of an (n_bytes + 2, w) uint16 buffer holds byte j of w
-    configurations and rows 0 and n_bytes + 1 mirror the cyclic wrap. The `.T`
-    of C-ordered (n_bytes, m) rows, as the cipher passes, loads untransposed.
+    configurations, shifted up by r, and rows 0 and n_bytes + 1 mirror the
+    cyclic wrap. The `.T` of C-ordered (n_bytes, m) rows, as the cipher
+    passes, loads untransposed.
     """
     steps = as_count(steps, "steps", 1)
     prev, curr = np.asarray(prev), np.asarray(curr)
@@ -109,9 +113,9 @@ def so_iterate_packed(
     prev, curr = prev.astype(np.uint8, copy=False), curr.astype(np.uint8, copy=False)
     radius = (table.size.bit_length() - 9) // 2
     if (not 1 <= radius <= MAX_RADIUS or table.shape != (1 << (8 + 2 * radius),)
-            or table.dtype != np.uint8):
+            or table.dtype != np.uint16):
         raise ValueError(f"not a packed rule table: {table.dtype} shape {table.shape}")
-    mask = np.array(table.size - 1, np.uint16)
+    mask, r = np.array(table.size - 1, np.uint16), _SHIFTS[radius]
     n, m = prev.shape[-1], prev.size // prev.shape[-1]
     rows = prev.reshape(m, n).T, curr.reshape(m, n).T
     out = np.empty((2, n, m), np.uint8)
@@ -120,22 +124,23 @@ def so_iterate_packed(
         w = min(width, m - a)
         state = np.empty((2, n + 2, w), np.uint16)
         state[0, 1:-1], state[1, 1:-1] = rows[0][:, a : a + w], rows[1][:, a : a + w]
+        np.left_shift(state, r, out=state)  # same-dtype and in place: a uint8 operand costs more
         edges = state[:, :: n + 1], state[:, n : 0 : 1 - n] if n > 1 else state[:, 1:2]
         flat = state.reshape(2, -1)
         above, middle, below = flat[:, : n * w], flat[:, w:-w], flat[:, 2 * w :]
-        idx, tmp, got = (np.empty(n * w, t) for t in (np.uint16, np.uint16, np.uint8))
+        idx, got = np.empty((2, n * w), np.uint16)
         c = 1  # which of the two buffers holds the newer configuration
         for _ in range(steps):
             np.copyto(*edges)
-            # window: left byte << (8 + r) | byte << r | right byte >> (8 - r)
-            np.left_shift(above[c], _SHIFTS[8 + radius], out=idx)
-            np.left_shift(middle[c], _SHIFTS[radius], out=tmp)
-            np.bitwise_or(idx, tmp, out=idx)
-            np.right_shift(below[c], _SHIFTS[8 - radius], out=tmp)
-            np.bitwise_or(idx, tmp, out=idx)
+            # window of bytes held << r: left << 8 | byte | right >> 8, masked to 8 + 2r bits
+            np.left_shift(above[c], _SHIFTS[8], out=idx)
+            np.bitwise_or(idx, middle[c], out=idx)
+            np.right_shift(below[c], _SHIFTS[8], out=got)
+            np.bitwise_or(idx, got, out=idx)
             np.bitwise_and(idx, mask, out=idx)
             table.take(idx, out=got, mode="clip")
             c ^= 1
             np.bitwise_xor(middle[c], got, out=middle[c])
+        np.right_shift(state, r, out=state)
         out[:, :, a : a + w] = (state[::-1] if c == 0 else state)[:, 1:-1]
     return out[0].T.reshape(prev.shape), out[1].T.reshape(prev.shape)

@@ -526,6 +526,19 @@ class TestCafCore:
             tracemalloc.stop()
         assert peak <= 12 * a.nbytes, f"peak {peak / a.nbytes:.1f}x the input"
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_peak_memory_does_not_grow_with_the_steps(self, direction):
+        # each step works in buffers made once per block, so 64 steps peak as 2
+        # do, give or take the few Python objects tracemalloc also counts
+        rng = np.random.default_rng(17)
+        key = rand_key(rng)
+        a, b = rng.integers(0, 256, (2, 4096, 16), dtype=np.uint8)
+        run = cipher._caf_forward if direction == "forward" else cipher._caf_backward
+        run(a, b, key, 2)  # builds and caches the key's table outside the trace
+        _, few = traced_peak(lambda: run(a, b, key, 2))
+        _, many = traced_peak(lambda: run(a, b, key, 64))
+        assert abs(many - few) < 1024, f"peak {few} bytes at 2 steps, {many} at 64"
+
 
 class TestMaskFinalData:
     def test_zero_final_data_yields_the_segment(self):

@@ -15,6 +15,7 @@ CONFIG = ca.parse_bits("0110")
 KEY = cipher.parse_key(bytes(range(32)))
 PARAMS = cipher.CipherParams(rounds=1, caf_steps=2)
 PACKED = second_order.packed_rule_table(RULE)
+BYTES = np.zeros(2, np.uint8)
 PAIR = second_order.SecondOrderState(CONFIG, CONFIG[::-1])
 PROGRAM = pca.ControlProgram(np.array([(0, 0), (0, 1), (1, 0), (1, 1)], dtype=np.uint8))
 
@@ -51,7 +52,7 @@ CASES = {
     "so_iterate_backward": (
         "steps", 3, lambda v: second_order.so_iterate_backward(PAIR, RULE, Boundary.NULL, v)),
     "so_iterate_packed": (
-        "steps", 3, lambda v: second_order.so_iterate_packed(PACKED[:2], PACKED[2:4], PACKED, v)),
+        "steps", 3, lambda v: second_order.so_iterate_packed(BYTES, BYTES, PACKED, v)),
     "pca_run": ("steps", 3, lambda v: pca.pca_run(CONFIG, PROGRAM, pca.TABLE_51_195_153,
                                                   Boundary.CYCLIC, v)),
     "CipherParams.rounds": ("rounds", 3, lambda v: cipher.CipherParams(rounds=v)),

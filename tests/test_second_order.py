@@ -224,7 +224,7 @@ class TestIteratePacked:
         monkeypatch.setattr(second_order, "_CHUNK", 7)
         width = max(1, 7 // n_bytes)
         rng = np.random.default_rng(n_bytes)
-        for radius in (1, 3):
+        for radius in (1, 2, 3):
             rule = random_rule(radius, random.Random(n_bytes))
             table = packed_rule_table(rule)
             for m in (width - 1, width, width + 1, 3 * width - 1, 3 * width, 3 * width + 1):
@@ -258,14 +258,16 @@ class TestIteratePacked:
     def test_every_table_entry_matches_the_oracle(self, radius):
         # with prev all 0 the new byte is the table entry itself; the middle
         # 8 cells of a window have their whole neighborhood inside it
+        # byte, shifted up by the radius as the kernel holds its bytes
         rule = random_rule(radius, random.Random(radius))
         table = packed_rule_table(rule)
         width = 8 + 2 * radius
-        assert table.shape == (1 << width,) and not table.flags.writeable
+        assert table.shape == (1 << width,) and table.dtype == np.uint16
+        assert not table.flags.writeable
         for window in range(1 << width):
             cells = bits_of_bytes(window.to_bytes(3, "big"))[24 - width :]
             _, new = naive_so_step([0] * width, cells, rule.number, radius, "null")
-            assert table[window] == bytes_of_bits(new[radius : radius + 8])[0], window
+            assert table[window] == bytes_of_bits(new[radius : radius + 8])[0] << radius, window
 
     def test_zero_steps_rejected(self):
         table = packed_rule_table(RULE_204)
@@ -293,10 +295,15 @@ class TestIteratePacked:
         with pytest.raises(ValueError, match=re.escape("byte (0, 0) must be in 0..255, got 1.5")):
             so_iterate_packed(pair["prev"], pair["curr"], packed_rule_table(RULE_204), 1)
 
-    def test_table_that_is_not_uint8_rejected(self):
-        # take(out=uint8) cast the entries, so this table stepped to wrong bytes
-        table = packed_rule_table(RULE_204).astype(np.uint16) * 300
-        with pytest.raises(ValueError, match="not a packed rule table: uint16"):
+    @pytest.mark.parametrize("form", ["uint8", "short", "long"])
+    def test_table_not_in_the_kernel_form_rejected(self, form):
+        # take(out=uint16) would cast uint8 entries unshifted, and a wrong length
+        # would mask the windows to the wrong radius
+        table = packed_rule_table(RULE_204)
+        table = {"uint8": (table >> 1).astype(np.uint8), "short": table[: table.size // 2],
+                 "long": np.concatenate([table, table])}[form]
+        message = f"not a packed rule table: {table.dtype} shape ({table.size},)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             so_iterate_packed(np.zeros(2, np.uint8), np.ones(2, np.uint8), table, 1)
 
     def test_integer_rows_in_range_step_as_bytes(self):
