@@ -16,16 +16,17 @@ automaton backwards from the transmitted pair, discards the recovered random
 row, and undoes the rounds. Each block therefore costs twice its size on the
 wire, and encryption is randomized through the injected rid values.
 
-Nothing here unpacks bits. A stream's blocks are transposed once into
-(16, n) byte-position rows, row j holding byte j of every block: each round
-transform is a few whole-row operations on them, and the core steps the same
-rows, one gather per step from the key's window table (packed_rule_table,
-32 KiB at radius 3). Key setup runs the material automata on that kernel
-over (64, 8) packed rows, one per round, into the key's schedule: one
-read-only (64, 8, 16) array of each round's four material rows and the
-constants they select, so a round is two gathers and in-place arithmetic on
-one copy of the rows. A SecretKey builds both on first use and keeps them
-while it lives, so reuse one SecretKey for a key's traffic.
+Nothing here unpacks bits. _rounds runs on (16, n) byte-position rows, row
+j holding byte j of every block, from the key's schedule: one read-only
+(64, 8, 16) array of each round's four material rows and the constants they
+select, so a round is two gathers and in-place arithmetic. For a fixed
+round count the rounds are one affine map over GF(2), so a stream runs them
+as the key's map (_map_tables): per byte position, 256 images to gather and
+XOR. The core steps block-major rows, one gather per step from the key's
+window table (packed_rule_table, 32 KiB at radius 3). A SecretKey builds
+its schedule, window table and maps (64 KiB per direction, for the last
+round count used) on first use and keeps them while it lives, so reuse one
+SecretKey for a key's traffic.
 
 All operations here are pure given an explicit rid. A stream's records are
 one read-only (n, 32) uint8 array, row i holding block i's 16 ciphertext
@@ -113,6 +114,14 @@ class SecretKey:
     @cached_property
     def _window_table(self) -> np.ndarray:
         return packed_rule_table(_caf_rule(self.caf_segment))
+
+    def _round_map(self, rounds: int, inverse: bool) -> np.ndarray:
+        """The first `rounds` rounds as _map_tables; one map per direction is kept."""
+        maps = self.__dict__.setdefault("_maps", {})  # inverse -> (rounds, map)
+        held = maps.get(inverse, (0, None))
+        if held[0] != rounds:  # return the map built here: a thread may replace it
+            held = maps[inverse] = rounds, _map_tables(self._key_schedule[:rounds], inverse)
+        return held[1]
 
     def __reduce__(self):
         # a pickled or copied key carries its 32 bytes, not its expansion
@@ -227,9 +236,9 @@ def derive_round_material(key: SecretKey, round_index: int) -> np.ndarray:
 
 # --- the four round transforms ----------------------------------------------
 #
-# They run in place on (16, n) byte-position rows; the single-block API and
-# the stage functions run them on a (16, 1) column. Every constant they use
-# is chosen by one material byte and read from a table built here once.
+# They run in place on (16, n) byte-position rows: _map_tables' basis, or a
+# (16, 1) column in the single-round and stage functions. Every constant they
+# use is chosen by one material byte and read from a table built here once.
 
 _ROWS, _COLS = np.divmod(np.arange(BLOCK_BYTES), 4)  # grid position of each byte
 _BYTES = np.arange(256)
@@ -262,6 +271,9 @@ _NEXT = np.roll(np.arange(BLOCK_BYTES), -1)  # byte j rotates by material byte j
 # divisor, multiplier, row sources and column sources.
 _FORWARD = [0, 3, 4, 5, 6, 7]
 _INVERSE = [0, 3, 5, 4, 6, 7]
+_MAP_BLOCKS = 8192  # blocks per chunk of _through_rounds: 128 KiB of output
+# _map_tables' (16, 129) basis: column 8i + b holds 2^b in byte i, column 128 zero
+_BASIS = ((_BYTES[:129] >> 3 == _BYTES[:BLOCK_BYTES, None]) << (_BYTES[:129] & 7)).astype(np.uint8)
 
 
 def _schedule(materials: np.ndarray) -> np.ndarray:
@@ -293,7 +305,7 @@ def _permute(y: np.ndarray, out: np.ndarray, sources: np.ndarray, inverse: bool)
     if inverse:
         out[sources] = y
     else:  # sources are 0..15, so "clip" never clips; "raise" would buffer `out`
-        np.take(y, sources, axis=0, out=out, mode="clip")
+        y.take(sources, axis=0, out=out, mode="clip")  # the method skips np.take's wrapper
 
 
 def _mix(y: np.ndarray, out: np.ndarray, sources: np.ndarray, inverse: bool) -> None:
@@ -337,6 +349,43 @@ def _rounds(y: np.ndarray, schedule: np.ndarray, inverse: bool) -> np.ndarray:
             _mix(t, y, columns, False)
             y ^= m_key
     return y
+
+
+def _map_tables(schedule: np.ndarray, inverse: bool) -> np.ndarray:
+    """The rounds of `schedule` as read-only (16, 256, 2) uint64 tables.
+
+    For fixed rounds the cipher's rounds are affine over GF(2), x -> Ax ^ c.
+    Entry v of table i is the image of the block whose byte i is v and whose
+    other bytes are 0, with c folded into table 0, so a block's image is the
+    XOR of its 16 bytes' entries. _rounds runs once, on the 128 one-bit
+    blocks and the zero block, and the entries are filled by doubling over v.
+    """
+    images = np.ascontiguousarray(_rounds(_BASIS, schedule, inverse).T).view(np.uint64)
+    units = (images[:128] ^ images[128]).reshape(BLOCK_BYTES, 8, 2, 1)
+    halves = np.zeros((BLOCK_BYTES, 2, 256), np.uint64)  # v last: inner loops run over v
+    halves[0, :, 0] = images[128]
+    for b in range(8):
+        np.bitwise_xor(halves[..., : 1 << b], units[:, b], out=halves[..., 1 << b : 2 << b])
+    tables = np.empty((BLOCK_BYTES, 256, 2), np.uint64)
+    tables[..., 0], tables[..., 1] = halves[:, 0], halves[:, 1]  # faster than one transpose
+    tables.flags.writeable = False
+    return tables
+
+
+def _through_rounds(blocks: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """(n, 16) uint8 blocks through the rounds `tables` hold (see _map_tables).
+
+    Returns new C-ordered (n, 16) rows. Each chunk of _MAP_BLOCKS blocks takes
+    one gather of table rows per byte position, XORed into the first.
+    """
+    out = np.empty((len(blocks), 2), np.uint64)
+    got = np.empty((min(len(blocks), _MAP_BLOCKS), 2), np.uint64)
+    for a in range(0, len(blocks), _MAP_BLOCKS):
+        chunk, image = blocks[a : a + _MAP_BLOCKS], out[a : a + _MAP_BLOCKS]
+        tables[0].take(chunk[:, 0], axis=0, out=image, mode="clip")  # bytes never clip
+        for i in range(1, BLOCK_BYTES):
+            image ^= tables[i].take(chunk[:, i], axis=0, out=got[: len(chunk)], mode="clip")
+    return out.view(np.uint8)
 
 
 def _stage(state: bytes, material: bytes, direction: str):
@@ -484,9 +533,9 @@ def _encrypt_padded(
     if len(rids) != len(padded):
         raise ValueError("need one 16-byte rid per block")
     blocks = np.frombuffer(padded, dtype=np.uint8).reshape(n_blocks, BLOCK_BYTES)
-    y = _rounds(blocks.T, key._key_schedule[: params.rounds], False)
+    y = _through_rounds(blocks, key._round_map(params.rounds, False))
     rid_rows = np.frombuffer(rids, dtype=np.uint8).reshape(n_blocks, BLOCK_BYTES)
-    cipher_bytes, final_bytes = _caf_forward(y.T, rid_rows, key, params.caf_steps)
+    cipher_bytes, final_bytes = _caf_forward(y, rid_rows, key, params.caf_steps)
     del y, rids, rid_rows  # freed before the records are built, which sets the peak
     return _records(cipher_bytes, final_bytes, key)
 
@@ -500,7 +549,7 @@ def _decrypt_records_raw(records: np.ndarray, key: SecretKey, params: CipherPara
             f"got {records.dtype} {records.shape}"
         )
     states = _caf_backward(*_unmask(records, key), key, params.caf_steps)
-    return _rounds(states.T, key._key_schedule[: params.rounds], True).T.tobytes()
+    return _through_rounds(states, key._round_map(params.rounds, True)).tobytes()
 
 
 def encrypt_stream(

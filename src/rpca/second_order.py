@@ -97,8 +97,8 @@ def so_iterate_packed(
 
     Row j + 1 of an (n_bytes + 2, w) uint16 buffer holds byte j of w
     configurations, shifted up by r, and rows 0 and n_bytes + 1 mirror the
-    cyclic wrap. The `.T` of C-ordered (n_bytes, m) rows, as the cipher
-    passes, loads untransposed.
+    cyclic wrap. The cipher passes block-major (m, n_bytes) rows, which each
+    block's load transposes.
     """
     steps = as_count(steps, "steps", 1)
     prev, curr = np.asarray(prev), np.asarray(curr)

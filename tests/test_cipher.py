@@ -188,11 +188,12 @@ class TestRoundMaterial:
                 assert rows == naive_round_materials(raw, index)
 
     def test_key_expansion_built_once_per_key(self, monkeypatch):
-        # count through the module attributes perfbench's key-setup span wraps
+        # count through the module attributes perfbench's key-setup span wraps;
+        # a rounds map is counted with its round count and direction
         builds = []
-        for name in ("_round_materials", "_caf_rule"):
+        for name in ("_round_materials", "_caf_rule", "_map_tables"):
             def counted(*args, _build=getattr(cipher, name), _name=name):
-                builds.append(_name)
+                builds.append((_name, len(args[0]), args[1]) if _name == "_map_tables" else _name)
                 return _build(*args)
             monkeypatch.setattr(cipher, name, counted)
         key = parse_key(bytes(range(32)))
@@ -201,18 +202,60 @@ class TestRoundMaterial:
             assert decrypt_stream(records, key, SMALL) == b"built once" * 5
         derive_round_material(key, 5)
         round_forward(bytes(16), key, 2)
-        assert sorted(builds) == ["_caf_rule", "_round_materials"]
+        maps = [("_map_tables", 3, False), ("_map_tables", 3, True)]
+        assert sorted(builds, key=repr) == ["_caf_rule", "_round_materials", *maps]
+        # a key keeps one map per direction: another round count replaces it
+        builds.clear()
+        for params in (FAST, FAST, SMALL):
+            block = encrypt_block(bytes(16), key, params, bytes(16))
+            assert decrypt_block(block, key, params) == bytes(16)
+        assert builds == [("_map_tables", 1, False), ("_map_tables", 1, True), *maps]
         # the expansion lives on the key object: an equal key builds its own
+        builds.clear()
         derive_round_material(parse_key(key.raw), 0)
-        assert sorted(builds) == ["_caf_rule", "_round_materials", "_round_materials"]
+        assert builds == ["_round_materials"]
 
     def test_key_expansion_freed_with_key(self):
         key = parse_key(bytes(range(32)))
-        encrypt_stream(b"", key, FAST, SeededRidSource(b"freed"))
-        refs = [weakref.ref(key._key_schedule), weakref.ref(key._window_table)]
-        del key
+        for params in (SMALL, FAST, CipherParams(64, 2)):
+            decrypt_stream(encrypt_stream(b"", key, params, SeededRidSource(b"freed")), key, params)
+        assert sorted((inverse, rounds) for inverse, (rounds, _) in key._maps.items()) == [
+            (False, 64), (True, 64)]
+        tables = [tables for _, tables in key._maps.values()]
+        assert sum(t.nbytes for t in tables) == 128 * 1024
+        refs = [weakref.ref(x) for x in (key._key_schedule, key._window_table, *tables)]
+        del key, tables
         gc.collect()
         assert all(ref() is None for ref in refs)
+
+    def test_threads_sharing_a_key_each_get_their_round_count(self):
+        key = parse_key(bytes(range(32)))
+        cases = [(CipherParams(rounds, 2), bytes([rounds]) * 48) for rounds in (1, 2, 3, 5)]
+        want = [cipher._encrypt_padded(padded, parse_key(key.raw), params, bytes(48)).tobytes()
+                for params, padded in cases]
+        wrong = []
+
+        def run(k):
+            for j in range(k, k + 40):
+                (params, padded), expected = cases[j % 4], want[j % 4]
+                records = cipher._encrypt_padded(padded, key, params, bytes(48))
+                if (records.tobytes() != expected
+                        or cipher._decrypt_records_raw(records, key, params) != padded):
+                    wrong.append((k, j))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(key._maps) == 2
 
     def test_pickled_key_carries_only_its_bytes(self):
         key = parse_key(bytes(range(32)))
@@ -463,6 +506,38 @@ class TestStageOracles:
         expected = (x @ a.T).astype(np.uint8) & 1 ^ c
         assert np.array_equal(np.unpackbits(forward.T, axis=1), expected)
         assert np.array_equal(cipher._rounds(forward, materials, inverse=True), blocks)
+        # the key's map: the XOR of each byte's table entry is A·unit ^ c, and c for 0
+        tables = cipher._map_tables(materials, inverse=False)
+        inputs = np.frombuffer(b"".join(units) + bytes(16), np.uint8).reshape(129, 16)
+        images = np.bitwise_xor.reduce(tables[np.arange(16), inputs], axis=1)
+        bits = np.unpackbits(images.view(np.uint8), axis=1)
+        assert np.array_equal(bits, np.vstack([a.T.astype(np.uint8) ^ c, c]))
+
+    @given(
+        rounds=st.integers(1, cipher.MAX_ROUNDS),
+        inverse=st.booleans(),
+        n=st.sampled_from([1, 8191, 8192, 8193]) | st.integers(1, 20_000),
+        layout=st.sampled_from(["c", "fortran", "strided"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rounds=cipher.MAX_ROUNDS, inverse=True, n=8193, layout="fortran", seed=0)
+    @example(rounds=1, inverse=False, n=8192, layout="strided", seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_map_matches_rounds(self, rounds, inverse, n, layout, seed):
+        rng = np.random.default_rng(seed)
+        schedule = cipher._schedule(rng.integers(0, 256, (rounds, 4, 16), dtype=np.uint8))
+        blocks = rng.integers(0, 256, (n, 16), dtype=np.uint8)
+        if layout == "fortran":  # as the core returns its rows
+            blocks = np.asfortranarray(blocks)
+        elif layout == "strided":
+            wide = np.zeros((2 * n, 32), dtype=np.uint8)
+            wide[::2, ::2] = blocks
+            blocks = wide[::2, ::2]
+        tables = cipher._map_tables(schedule, inverse)
+        assert tables.shape == (16, 256, 2) and not tables.flags.writeable
+        got = cipher._through_rounds(blocks, tables)
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+        assert np.array_equal(got, cipher._rounds(blocks.T, schedule, inverse).T)
 
 
 class TestCafCore:
@@ -724,17 +799,17 @@ class TestStages:
         key, padded, rids = rand_key(rng), rng.bytes(48), rng.bytes(48)
         want = cipher._encrypt_padded(padded, key, SMALL, rids)
         calls = []
-        for name in ("_rounds", "_caf_forward", "_records", "_unmask", "_caf_backward"):
+        for name in ("_through_rounds", "_caf_forward", "_records", "_unmask", "_caf_backward"):
             def recorded(*args, name=name, stage=getattr(cipher, name), **kwargs):
                 calls.append(name)
                 return stage(*args, **kwargs)
             monkeypatch.setattr(cipher, name, recorded)
         records = cipher._encrypt_padded(padded, key, SMALL, rids)
-        assert calls == ["_rounds", "_caf_forward", "_records"]
+        assert calls == ["_through_rounds", "_caf_forward", "_records"]
         assert records.tobytes() == want.tobytes()
         calls.clear()
         assert cipher._decrypt_records_raw(records, key, SMALL) == padded
-        assert calls == ["_unmask", "_caf_backward", "_rounds"]
+        assert calls == ["_unmask", "_caf_backward", "_through_rounds"]
 
     def test_unmask_inverts_records(self):
         rng = np.random.default_rng(31)
