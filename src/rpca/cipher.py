@@ -18,15 +18,15 @@ wire, and encryption is randomized through the injected rid values.
 
 Nothing here unpacks bits. _rounds runs on (16, n) byte-position rows, row
 j holding byte j of every block, from the key's schedule: one read-only
-(64, 8, 16) array of each round's four material rows and the constants they
-select, so a round is two gathers and in-place arithmetic. For a fixed
-round count the rounds are one affine map over GF(2), so a stream runs them
-as the key's map (_map_tables): per byte position, 256 images to gather and
-XOR. The core steps block-major rows, one gather per step from the key's
-window table (packed_rule_table, 32 KiB at radius 3). A SecretKey builds
-its schedule, window table and maps (64 KiB per direction, for the last
-round count used) on first use and keeps them while it lives, so reuse one
-SecretKey for a key's traffic.
+(64, 4, 16) array of each round's four material rows. It looks up the
+constants they select once per call, so a round is three gathers and a few
+XORs. For a fixed round count the rounds are one affine map over GF(2), so
+a stream runs them as the key's map (_map_tables): per byte position, 256
+images to gather and XOR. The core steps block-major rows, one gather per
+step from the key's window table (packed_rule_table, 32 KiB at radius 3). A
+SecretKey builds its schedule, window table and maps (64 KiB per direction,
+for the last round count used) on first use and keeps them while it lives,
+so reuse one SecretKey for a key's traffic.
 
 All operations here are pure given an explicit rid. A stream's records are
 one read-only (n, 32) uint8 array, row i holding block i's 16 ciphertext
@@ -206,23 +206,17 @@ def _segment_history(segment: bytes) -> np.ndarray:
 
 
 def _round_materials(raw_key: bytes) -> np.ndarray:
-    """The key's schedule: a read-only (MAX_ROUNDS, 8, 16) uint8 array.
+    """The key's schedule: a read-only (MAX_ROUNDS, 4, 16) uint8 array.
 
-    Rows 0-3 of round i are its material m_sub, m_row, m_mix and m_key, each
-    a CAL configuration joined to a CAR one; rows 4-7 come from _schedule.
+    Round i's rows are its material m_sub, m_row, m_mix and m_key, each a CAL
+    configuration joined to a CAR one.
     """
     key = SecretKey(raw_key)
-    schedule = _schedule(np.concatenate(
+    materials = np.concatenate(
         [_segment_history(key.cal_segment), _segment_history(key.car_segment)], axis=2
-    ))
-    schedule.flags.writeable = False
-    return schedule
-
-
-def _round_schedule(key: SecretKey, round_index: int) -> np.ndarray:
-    """Round `round_index` of the key's schedule, as a (1, 8, 16) slice."""
-    round_index = ca.as_count(round_index, "round_index", 0, MAX_ROUNDS - 1)
-    return key._key_schedule[round_index : round_index + 1]
+    )
+    materials.flags.writeable = False
+    return materials
 
 
 def derive_round_material(key: SecretKey, round_index: int) -> np.ndarray:
@@ -231,17 +225,34 @@ def derive_round_material(key: SecretKey, round_index: int) -> np.ndarray:
     A read-only (4, 16) uint8 view of the key's schedule whose rows are
     m_sub, m_row, m_mix and m_key.
     """
-    return _round_schedule(key, round_index)[0, :4]
+    return key._key_schedule[ca.as_count(round_index, "round_index", 0, MAX_ROUNDS - 1)]
 
 
 # --- the four round transforms ----------------------------------------------
 #
-# They run in place on (16, n) byte-position rows: _map_tables' basis, or a
-# (16, 1) column in the single-round and stage functions. Every constant they
-# use is chosen by one material byte and read from a table built here once.
+# They run on (16, n) byte-position rows, _map_tables' (16, 129) basis or a
+# (16, 1) column in the single-round and stage functions, and return new
+# rows. Only _constants knows which material byte selects which constant.
 
 _ROWS, _COLS = np.divmod(np.arange(BLOCK_BYTES), 4)  # grid position of each byte
 _BYTES = np.arange(256)
+_NEXT = np.roll(np.arange(BLOCK_BYTES), -1)  # byte j rotates by material byte j + 1
+# Entry 256·s + v is v rotated left by s (2 KiB): byte sub's one gather.
+_ROTATED = (_BYTES << _BYTES[:8, None] | _BYTES >> 8 - _BYTES[:8, None]).astype(np.uint8).ravel()
+# Indexed by direction (forward, inverse) and a material byte. _OFFSETS: the
+# byte's low 3 bits as an offset into _ROTATED, a left rotation (inverse:
+# right). The (16,) source rows: its 2-bit fields, MSB first, rotate grid
+# row r left by field r (row shift) or grid column c down by field c (column
+# rotation); the inverse rotates them back. They stay intp: take then casts
+# no indices.
+_SIGNS = np.array([1, -1])[:, None, None]
+_FIELDS = (_BYTES[:, None] >> np.arange(6, -1, -2)) & 3
+_OFFSETS = (_SIGNS[:, 0] * _BYTES & 7) << 8
+_ROW_SHIFTS = 4 * _ROWS + (_COLS + _SIGNS * _FIELDS[:, _ROWS]) % 4
+_COLUMN_ROTATIONS = 4 * ((_ROWS - _SIGNS * _FIELDS[:, _COLS]) % 4) + _COLS
+_MAP_BLOCKS = 8192  # blocks per chunk of _through_rounds: 128 KiB of output
+# _map_tables' (16, 129) basis: column 8i + b holds 2^b in byte i, column 128 zero
+_BASIS = ((_BYTES[:129] >> 3 == _BYTES[:BLOCK_BYTES, None]) << (_BYTES[:129] & 7)).astype(np.uint8)
 
 
 def _parse_direction(direction: str) -> bool:
@@ -252,107 +263,62 @@ def _parse_direction(direction: str) -> bool:
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
-# Byte sub rotates left by a material byte's low 3 bits a (inverse: right).
-# A right rotation by s is y // 2^s | y * 2^((8 - s) & 7) in uint8, where
-# s = 0 gives y | y = y: numpy vectorises uint8 division and multiplication
-# but not uint8 shifts, which took three times as long on (16, 62501) rows.
-# Left by a is right by -a & 7, so forward divides by 2^(-a & 7) and
-# multiplies by 2^a, and the inverse swaps the two. (256, 2): both powers.
-_POWERS = (1 << np.stack([-_BYTES & 7, _BYTES & 7], axis=1)).astype(np.uint8)
-# (256, 16) source rows: a material byte's 2-bit fields, MSB first, rotate
-# grid row r left by field r (row shift) or grid column c down by field c
-# (column rotation). The inverse writes row i back to row sources[i].
-_FIELDS = (_BYTES[:, None] >> np.arange(6, -1, -2)) & 3
-_ROW_SHIFTS = (4 * _ROWS + (_COLS + _FIELDS[:, _ROWS]) % 4).astype(np.uint8)
-_COLUMN_ROTATIONS = (4 * ((_ROWS - _FIELDS[:, _COLS]) % 4) + _COLS).astype(np.uint8)
-_NEXT = np.roll(np.arange(BLOCK_BYTES), -1)  # byte j rotates by material byte j + 1
-# Rows 4-7 of a schedule round: m_sub's two powers, m_row byte 0's row
-# sources, m_mix byte 1's column sources. A direction reads m_sub, m_key,
-# divisor, multiplier, row sources and column sources.
-_FORWARD = [0, 3, 4, 5, 6, 7]
-_INVERSE = [0, 3, 5, 4, 6, 7]
-_MAP_BLOCKS = 8192  # blocks per chunk of _through_rounds: 128 KiB of output
-# _map_tables' (16, 129) basis: column 8i + b holds 2^b in byte i, column 128 zero
-_BASIS = ((_BYTES[:129] >> 3 == _BYTES[:BLOCK_BYTES, None]) << (_BYTES[:129] & 7)).astype(np.uint8)
+def _constants(materials: np.ndarray, inverse: bool):
+    """The constants (R, 4, 16) round materials select, for all R rounds at once.
+
+    Returns (R, 16, 1) offsets into _ROTATED, byte j's from m_sub byte j + 1
+    (mod 16), and (R, 16) row sources from m_row byte 0 and column sources
+    from m_mix byte 1. For the inverse, each undoes the forward one.
+    """
+    d = int(inverse)
+    return (_OFFSETS[d, materials[:, 0, _NEXT, None]], _ROW_SHIFTS[d, materials[:, 1, 0]],
+            _COLUMN_ROTATIONS[d, materials[:, 2, 1]])
 
 
-def _schedule(materials: np.ndarray) -> np.ndarray:
-    """Round materials (R, 4, 16) with their constants appended: (R, 8, 16) uint8."""
-    out = np.empty((len(materials), 8, BLOCK_BYTES), np.uint8)
-    out[:, :4] = materials
-    out[:, 4:6] = np.take(_POWERS, materials[:, 0, _NEXT], axis=0).swapaxes(1, 2)
-    out[:, 6] = np.take(_ROW_SHIFTS, materials[:, 1, 0], axis=0)
-    out[:, 7] = np.take(_COLUMN_ROTATIONS, materials[:, 2, 1], axis=0)
-    return out
+def _sub(y: np.ndarray, m_sub: np.ndarray, offsets: np.ndarray, inverse: bool) -> np.ndarray:
+    """Byte substitution: rotate row j by its offset into _ROTATED, then XOR m_sub.
 
-
-def _sub(y: np.ndarray, scratch: np.ndarray, m_sub, div, mul, inverse: bool) -> None:
-    """Byte substitution in place: rotate right by (div, mul), then XOR m_sub.
-
-    The inverse XORs first. `scratch`, shaped like `y`, is overwritten.
+    The inverse XORs first.
     """
     if inverse:
-        y ^= m_sub
-    np.floor_divide(y, div, out=scratch)
-    y *= mul
-    y |= scratch
-    if not inverse:
-        y ^= m_sub
+        return _ROTATED.take(offsets + (y ^ m_sub))
+    return _ROTATED.take(offsets + y) ^ m_sub
 
 
-def _permute(y: np.ndarray, out: np.ndarray, sources: np.ndarray, inverse: bool) -> None:
-    """Row i of `out` becomes row sources[i] of `y`; inverse: row sources[i] becomes row i."""
-    if inverse:
-        out[sources] = y
-    else:  # sources are 0..15, so "clip" never clips; "raise" would buffer `out`
-        y.take(sources, axis=0, out=out, mode="clip")  # the method skips np.take's wrapper
+def _mix(y: np.ndarray, sources: np.ndarray, inverse: bool) -> np.ndarray:
+    """Column mix of (16, n) rows: an XOR network, then the rotation `sources`.
 
-
-def _mix(y: np.ndarray, out: np.ndarray, sources: np.ndarray, inverse: bool) -> None:
-    """Column mix of C-ordered (16, n) rows `y` into `out`; forward overwrites `y`.
-
-    Down each grid column rows 0 ^= 1 and 2 ^= 3, then 1 ^= 0 and 3 ^= 2;
-    then the rotation `sources`. The inverse undoes both, last first.
+    Down each grid column rows 0 ^= 1 and 2 ^= 3, then 1 ^= 0 and 3 ^= 2, so
+    each pair (a, b) becomes (a ^ b, a). The inverse, given the inverse's
+    sources, undoes both, last first.
     """
     if inverse:
-        _permute(y, out, sources, True)
-        y = out
+        y = y.take(sources, axis=0)
     pairs = y.reshape(2, 2, 4, -1)  # pairs[p, q] is grid row 2p + q
     first, second = pairs[:, 0], pairs[:, 1]
-    if inverse:
-        second ^= first
-        first ^= second
-    else:
-        first ^= second
-        second ^= first
-        _permute(y, out, sources, False)
+    if inverse:  # (a ^ b, a) back to (a, b)
+        return np.concatenate((second, first ^ second), axis=1).reshape(BLOCK_BYTES, -1)
+    mixed = np.concatenate((first ^ second, first), axis=1).reshape(BLOCK_BYTES, -1)
+    return mixed.take(sources, axis=0)
 
 
-def _rounds(y: np.ndarray, schedule: np.ndarray, inverse: bool) -> np.ndarray:
-    """Run the rounds of `schedule` (R, 8, 16) over (16, n) rows; inverse undoes them.
+def _rounds(y: np.ndarray, materials: np.ndarray, inverse: bool) -> np.ndarray:
+    """Run the rounds of `materials` (R, 4, 16) over (16, n) rows; inverse undoes them.
 
-    They work on one C-ordered copy of `y`, which is returned, and a scratch
-    array of its shape: `y` is never written and no round allocates rows.
+    Returns new C-ordered (16, n) rows; `y` is never written.
     """
-    y = np.array(y, order="C")
-    t = np.empty_like(y)
-    steps = schedule[::-1, _INVERSE] if inverse else schedule[:, _FORWARD]
-    for (m_sub, m_key, div, mul), (rows, columns) in zip(steps[:, :4, :, None], steps[:, 4:]):
+    offsets, rows, columns = _constants(materials, inverse)
+    steps = list(zip(materials[:, 0, :, None], materials[:, 3, :, None], offsets, rows, columns))
+    for m_sub, m_key, offset, row, column in reversed(steps) if inverse else steps:
         if inverse:
-            y ^= m_key
-            _mix(y, t, columns, True)
-            _permute(t, y, rows, True)
-            _sub(y, t, m_sub, div, mul, True)
+            y = _sub(_mix(y ^ m_key, column, True).take(row, axis=0), m_sub, offset, True)
         else:
-            _sub(y, t, m_sub, div, mul, False)
-            _permute(y, t, rows, False)
-            _mix(t, y, columns, False)
-            y ^= m_key
+            y = _mix(_sub(y, m_sub, offset, False).take(row, axis=0), column, False) ^ m_key
     return y
 
 
-def _map_tables(schedule: np.ndarray, inverse: bool) -> np.ndarray:
-    """The rounds of `schedule` as read-only (16, 256, 2) uint64 tables.
+def _map_tables(materials: np.ndarray, inverse: bool) -> np.ndarray:
+    """The rounds of `materials` (R, 4, 16) as read-only (16, 256, 2) uint64 tables.
 
     For fixed rounds the cipher's rounds are affine over GF(2), x -> Ax ^ c.
     Entry v of table i is the image of the block whose byte i is v and whose
@@ -360,7 +326,7 @@ def _map_tables(schedule: np.ndarray, inverse: bool) -> np.ndarray:
     XOR of its 16 bytes' entries. _rounds runs once, on the 128 one-bit
     blocks and the zero block, and the entries are filled by doubling over v.
     """
-    images = np.ascontiguousarray(_rounds(_BASIS, schedule, inverse).T).view(np.uint64)
+    images = np.ascontiguousarray(_rounds(_BASIS, materials, inverse).T).view(np.uint64)
     units = (images[:128] ^ images[128]).reshape(BLOCK_BYTES, 8, 2, 1)
     halves = np.zeros((BLOCK_BYTES, 2, 256), np.uint64)  # v last: inner loops run over v
     halves[0, :, 0] = images[128]
@@ -389,33 +355,30 @@ def _through_rounds(blocks: np.ndarray, tables: np.ndarray) -> np.ndarray:
 
 
 def _stage(state: bytes, material: bytes, direction: str):
-    """A block as a (16, 1) column, a scratch column, the direction, and the six
-    rows it reads (see _FORWARD) of a round whose four materials are `material`."""
+    """A block and a material as (16, 1) columns, the direction, and the
+    (offsets, row sources, column sources) the material selects (_constants)."""
     inverse = _parse_direction(direction)
-    materials = np.broadcast_to(_block(material, "material"), (1, 4, BLOCK_BYTES))
-    y = _block(state, "state")[:, None].copy()
-    return y, np.empty_like(y), inverse, _schedule(materials)[0, _INVERSE if inverse else _FORWARD]
+    m = _block(material, "material")
+    constants = _constants(np.broadcast_to(m, (1, 4, BLOCK_BYTES)), inverse)
+    return _block(state, "state")[:, None], m[:, None], inverse, [c[0] for c in constants]
 
 
 def byte_substitution(state: bytes, material: bytes, direction: str = "forward") -> bytes:
     """Per-byte rotation by a material-chosen amount, then XOR with material."""
-    y, scratch, inverse, (m_sub, _, div, mul, _, _) = _stage(state, material, direction)
-    _sub(y, scratch, m_sub[:, None], div[:, None], mul[:, None], inverse)
-    return y.tobytes()
+    y, m, inverse, (offsets, _, _) = _stage(state, material, direction)
+    return _sub(y, m, offsets, inverse).tobytes()
 
 
 def row_shift(state: bytes, material: bytes, direction: str = "forward") -> bytes:
     """Rotate each 4-byte row by a 2-bit amount taken from the material."""
-    y, out, inverse, constants = _stage(state, material, direction)
-    _permute(y, out, constants[4], inverse)
-    return out.tobytes()
+    y, _, _, (_, rows, _) = _stage(state, material, direction)
+    return y.take(rows, axis=0).tobytes()
 
 
 def column_mix(state: bytes, material: bytes, direction: str = "forward") -> bytes:
     """XOR network down each column followed by a material-chosen rotation."""
-    y, out, inverse, constants = _stage(state, material, direction)
-    _mix(y, out, constants[5], inverse)
-    return out.tobytes()
+    y, _, inverse, (_, _, columns) = _stage(state, material, direction)
+    return _mix(y, columns, inverse).tobytes()
 
 
 def add_round_key(state: bytes, material: bytes) -> bytes:
@@ -426,13 +389,13 @@ def add_round_key(state: bytes, material: bytes) -> bytes:
 def round_forward(state: bytes, key: SecretKey, round_index: int) -> bytes:
     """One full round: substitution, row shift, column mix, key addition."""
     y = _block(state, "state")[:, None]
-    return _rounds(y, _round_schedule(key, round_index), False).tobytes()
+    return _rounds(y, derive_round_material(key, round_index)[None], False).tobytes()
 
 
 def round_inverse(state: bytes, key: SecretKey, round_index: int) -> bytes:
     """Inverse of round_forward: the four inverse transforms in reverse order."""
     y = _block(state, "state")[:, None]
-    return _rounds(y, _round_schedule(key, round_index), True).tobytes()
+    return _rounds(y, derive_round_material(key, round_index)[None], True).tobytes()
 
 
 # --- the 128-cell core -------------------------------------------------------

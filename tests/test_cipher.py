@@ -170,7 +170,7 @@ class TestRoundMaterial:
 
     def test_material_array_is_read_only(self):
         materials = cipher._round_materials(ZERO_KEY.raw)
-        assert materials.shape == (cipher.MAX_ROUNDS, 8, 16)
+        assert materials.shape == (cipher.MAX_ROUNDS, 4, 16)
         with pytest.raises(ValueError):
             materials[0, 0, 0] = 1
         row = derive_round_material(ZERO_KEY, 0)
@@ -421,13 +421,27 @@ class TestStageOracles:
         material = (rng.integers(0, 256, 16, dtype=np.uint8) & 0xF8) | np.roll(np.arange(16) % 8, 1)
         material = material.astype(np.uint8)
         y = np.tile(np.arange(256, dtype=np.uint8), (16, 1))  # column v = sixteen bytes of v
-        steps = cipher._schedule(np.broadcast_to(material, (1, 4, 16)))[0]
-        m_sub, _, div, mul = steps[cipher._INVERSE if inverse else cipher._FORWARD][:4, :, None]
-        got = y.copy()
-        cipher._sub(got, np.empty_like(got), m_sub, div, mul, inverse)
+        offsets = cipher._constants(np.broadcast_to(material, (1, 4, 16)), inverse)[0][0]
+        got = cipher._sub(y, material[:, None], offsets, inverse)
+        assert got.shape == (16, 256)
         for v in range(256):
             expected = naive_byte_sub(bytes([v]) * 16, material.tobytes(), inverse)
             assert got[:, v].tobytes() == expected
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize(
+        "stage, oracle, selector",
+        [(row_shift, naive_row_shift, 0), (column_mix, naive_column_mix, 1)],
+    )
+    def test_every_value_of_the_selecting_byte(self, stage, oracle, selector, inverse):
+        # m_row byte 0 and m_mix byte 1 each pick one of 256 source rows
+        rng = np.random.default_rng(30 + selector)
+        state = bytes(rng.permutation(256)[:16].astype(np.uint8))  # distinct bytes
+        material = bytearray(rand_block(rng))
+        direction = "inverse" if inverse else "forward"
+        for v in range(256):
+            material[selector] = v
+            assert stage(state, bytes(material), direction) == oracle(state, material, inverse)
 
     @given(
         rounds=st.integers(1, cipher.MAX_ROUNDS),
@@ -453,11 +467,11 @@ class TestStageOracles:
         else:
             y = np.ascontiguousarray(blocks.T)
         before = y.copy()
-        schedule = cipher._schedule(materials)
-        forward = cipher._rounds(y, schedule, inverse=False)
-        inverse = cipher._rounds(y, schedule, inverse=True)
+        forward = cipher._rounds(y, materials, inverse=False)
+        inverse = cipher._rounds(y, materials, inverse=True)
         assert np.array_equal(y, before)  # the input is never written
         assert forward.shape == inverse.shape == (16, n)
+        assert forward.flags.c_contiguous and inverse.flags.c_contiguous
         rows = [[m.tobytes() for m in round_materials] for round_materials in materials]
         checked = sorted({0, n - 1, *rng.integers(0, n, 6).tolist()})
         for i in checked:
@@ -468,7 +482,7 @@ class TestStageOracles:
                 inv = naive_round(inv, round_materials, inverse=True)
             assert forward[:, i].tobytes() == fwd
             assert inverse[:, i].tobytes() == inv
-        assert np.array_equal(cipher._rounds(forward, schedule, inverse=True), before)
+        assert np.array_equal(cipher._rounds(forward, materials, inverse=True), before)
 
     def test_oracle_round_trips(self):
         rng = np.random.default_rng(25)
@@ -525,7 +539,7 @@ class TestStageOracles:
     @settings(max_examples=40, deadline=None)
     def test_map_matches_rounds(self, rounds, inverse, n, layout, seed):
         rng = np.random.default_rng(seed)
-        schedule = cipher._schedule(rng.integers(0, 256, (rounds, 4, 16), dtype=np.uint8))
+        materials = rng.integers(0, 256, (rounds, 4, 16), dtype=np.uint8)
         blocks = rng.integers(0, 256, (n, 16), dtype=np.uint8)
         if layout == "fortran":  # as the core returns its rows
             blocks = np.asfortranarray(blocks)
@@ -533,11 +547,11 @@ class TestStageOracles:
             wide = np.zeros((2 * n, 32), dtype=np.uint8)
             wide[::2, ::2] = blocks
             blocks = wide[::2, ::2]
-        tables = cipher._map_tables(schedule, inverse)
+        tables = cipher._map_tables(materials, inverse)
         assert tables.shape == (16, 256, 2) and not tables.flags.writeable
         got = cipher._through_rounds(blocks, tables)
         assert got.dtype == np.uint8 and got.flags.c_contiguous
-        assert np.array_equal(got, cipher._rounds(blocks.T, schedule, inverse).T)
+        assert np.array_equal(got, cipher._rounds(blocks.T, materials, inverse).T)
 
 
 class TestCafCore:
@@ -974,10 +988,8 @@ class TestReducedVariantBijectivity:
     @staticmethod
     def _mini_byte_sub(state, material_byte, inverse):
         # on the one-byte ring the byte rotates by its own material byte
-        div, mul = cipher._POWERS[material_byte, ::-1 if inverse else 1]
-        state = state.copy()
-        cipher._sub(state, np.empty_like(state), material_byte, div, mul, inverse)
-        return state
+        offset = cipher._OFFSETS[int(inverse), material_byte]
+        return cipher._sub(state, material_byte, offset, inverse)
 
     def _mini_encrypt(self, key, pt, rid):
         state = np.array([pt], dtype=np.uint8)
