@@ -12,7 +12,7 @@ import gc
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
@@ -22,6 +22,7 @@ MAX_RADIUS = 3
 EXHAUSTIVE_CELL_LIMIT = 20
 _CODE_BLOCK = 1 << 14  # codes per global_map block; a block's uint64 windows are 128 KiB
 _LIST_BLOCK = 1 << 14  # cycles per block of cycle_structure's lists
+_PLACES = np.array([128, 64, 32, 16, 8, 4, 2, 1], np.uint8)  # _window_table's output bits
 
 
 class Boundary(str, Enum):
@@ -161,16 +162,24 @@ def _stepper(
     return step
 
 
+@cache
+def _window_index(c: int, r: int) -> np.ndarray:
+    """Read-only (2^(c+2r), c) index: entry [w, k] is where cell k's table sits in c
+    radius-r tables laid end to end, plus the value of window w's cells k..k+2r."""
+    k = np.arange(c)
+    windows = np.arange(1 << (c + 2 * r))[:, None]
+    index = k << (2 * r + 1) | (windows >> (c - 1 - k)) & ((1 << (2 * r + 1)) - 1)
+    index.flags.writeable = False
+    return index
+
+
 def _window_table(rules: Sequence[Rule]) -> np.ndarray:
     """Outputs of c = len(rules) <= 8 adjacent cells, rule k at cell k, for every value of
-    their c + 2r cell window: uint8, the leftmost cell and output most significant."""
+    their c + 2r cell window: uint8, the leftmost cell and output most significant.
+    One gather from the tables laid end to end, then a sum weighted by place."""
     c, r = len(rules), rules[0].radius
-    windows = np.arange(1 << (c + 2 * r))
-    mask = (1 << (2 * r + 1)) - 1
-    table = np.zeros(windows.size, dtype=np.uint8)
-    for k, rule in enumerate(rules):  # cell k reads window cells k..k+2r
-        table |= rule.table[(windows >> (c - 1 - k)) & mask] << (c - 1 - k)
-    return table
+    bits = np.concatenate([rule.table for rule in rules]).take(_window_index(c, r))
+    return bits @ _PLACES[8 - c :]
 
 
 def as_cells(states: np.ndarray) -> np.ndarray:

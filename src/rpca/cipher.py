@@ -22,17 +22,19 @@ j holding byte j of every block, from the key's schedule: one read-only
 constants they select once per call, so a round is three gathers and a few
 XORs. For a fixed round count the rounds are one affine map over GF(2), so
 a stream runs them as the key's map (_map_tables): per byte position, 256
-images to gather and XOR. The core steps block-major rows, one gather per
-step from the key's window table (packed_rule_table, 32 KiB at radius 3). A
-SecretKey builds its schedule, window table and maps (64 KiB per direction,
-for the last round count used) on first use and keeps them while it lives,
-so reuse one SecretKey for a key's traffic.
+images to gather and XOR, built from the rounds of 17 columns. The core
+steps block-major rows, one gather per step from the key's window table
+(packed_rule_table, 32 KiB at radius 3). A SecretKey builds its schedule,
+window table and maps (64 KiB per direction, for the last round count used)
+on first use and keeps them while it lives, so reuse one SecretKey for a
+key's traffic.
 
 All operations here are pure given an explicit rid. A stream's records are
 one read-only (n, 32) uint8 array, row i holding block i's 16 ciphertext
-bytes, then its 16 masked final-data bytes; in the stream path only _records
-and _unmask know this layout and the mask. CipherParams holds the parameters,
-as the container header does on disk; CipherRecord is one block's record.
+bytes, then its 16 masked final-data bytes; only _halves knows this layout,
+and _records and _unmask mask its uint64 words. CipherParams holds the
+parameters, as the container header does on disk; CipherRecord is one
+block's record.
 """
 from __future__ import annotations
 
@@ -115,6 +117,10 @@ class SecretKey:
     def _window_table(self) -> np.ndarray:
         return packed_rule_table(_caf_rule(self.caf_segment))
 
+    @cached_property
+    def _mask_words(self) -> tuple:  # the CAF segment as two uint64 scalars, for _mask
+        return tuple(np.frombuffer(self.caf_segment, np.uint64))
+
     def _round_map(self, rounds: int, inverse: bool) -> np.ndarray:
         """The first `rounds` rounds as _map_tables; one map per direction is kept."""
         maps = self.__dict__.setdefault("_maps", {})  # inverse -> (rounds, map)
@@ -158,8 +164,11 @@ class CipherRecord:
     caf_steps: int
 
     def payload(self) -> bytes:
-        """Wire layout: 16 ciphertext bytes then 16 masked final-data bytes."""
-        return self.ciphertext + self.encrypted_final_data
+        """The 32-byte wire record, its halves placed as _halves reads them."""
+        row = np.empty((1, RECORD_BYTES), np.uint8)
+        for half, value in zip(_halves(row), (self.ciphertext, self.encrypted_final_data)):
+            half[0] = np.frombuffer(value, np.uint64)
+        return row.tobytes()
 
 
 def _block(value: bytes, what: str) -> np.ndarray:
@@ -230,7 +239,7 @@ def derive_round_material(key: SecretKey, round_index: int) -> np.ndarray:
 
 # --- the four round transforms ----------------------------------------------
 #
-# They run on (16, n) byte-position rows, _map_tables' (16, 129) basis or a
+# They run on (16, n) byte-position rows, _map_tables' (16, 17) columns or a
 # (16, 1) column in the single-round and stage functions, and return new
 # rows. Only _constants knows which material byte selects which constant.
 
@@ -251,8 +260,9 @@ _OFFSETS = (_SIGNS[:, 0] * _BYTES & 7) << 8
 _ROW_SHIFTS = 4 * _ROWS + (_COLS + _SIGNS * _FIELDS[:, _ROWS]) % 4
 _COLUMN_ROTATIONS = 4 * ((_ROWS - _SIGNS * _FIELDS[:, _COLS]) % 4) + _COLS
 _MAP_BLOCKS = 8192  # blocks per chunk of _through_rounds: 128 KiB of output
-# _map_tables' (16, 129) basis: column 8i + b holds 2^b in byte i, column 128 zero
-_BASIS = ((_BYTES[:129] >> 3 == _BYTES[:BLOCK_BYTES, None]) << (_BYTES[:129] & 7)).astype(np.uint8)
+# _map_tables' (16, 17) columns: column i holds 1 in byte i, column 16 zero
+_UNITS = np.eye(BLOCK_BYTES, BLOCK_BYTES + 1, dtype=np.uint8)
+_ROTATIONS = _BYTES[:8, None] << 8  # offsets into _ROTATED of a left rotation by b
 
 
 def _parse_direction(direction: str) -> bool:
@@ -323,13 +333,17 @@ def _map_tables(materials: np.ndarray, inverse: bool) -> np.ndarray:
     For fixed rounds the cipher's rounds are affine over GF(2), x -> Ax ^ c.
     Entry v of table i is the image of the block whose byte i is v and whose
     other bytes are 0, with c folded into table 0, so a block's image is the
-    XOR of its 16 bytes' entries. _rounds runs once, on the 128 one-bit
-    blocks and the zero block, and the entries are filled by doubling over v.
+    XOR of its 16 bytes' entries. _rounds runs once, on the 16 blocks whose
+    byte i is 1 and the zero block. A's steps rotate single bytes, move bytes
+    and XOR whole bytes, so A commutes with rotating every byte left by b:
+    byte i = 2^b's image is byte i = 1's with every byte so rotated, one
+    gather from _ROTATED. The entries are then filled by doubling over v.
     """
-    images = np.ascontiguousarray(_rounds(_BASIS, materials, inverse).T).view(np.uint64)
-    units = (images[:128] ^ images[128]).reshape(BLOCK_BYTES, 8, 2, 1)
+    images = np.ascontiguousarray(_rounds(_UNITS, materials, inverse).T)
+    linear = (images[:BLOCK_BYTES] ^ images[BLOCK_BYTES])[:, None]
+    units = _ROTATED.take(linear + _ROTATIONS).view(np.uint64).reshape(BLOCK_BYTES, 8, 2, 1)
     halves = np.zeros((BLOCK_BYTES, 2, 256), np.uint64)  # v last: inner loops run over v
-    halves[0, :, 0] = images[128]
+    halves[0, :, 0] = images[BLOCK_BYTES].view(np.uint64)
     for b in range(8):
         np.bitwise_xor(halves[..., : 1 << b], units[:, b], out=halves[..., 1 << b : 2 << b])
     tables = np.empty((BLOCK_BYTES, 256, 2), np.uint64)
@@ -417,20 +431,36 @@ def _caf_backward(
     return states
 
 
+def _halves(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The wire layout: the (n, 2) uint64 words of the ciphertext, then of the
+    masked final data, of (n, 32) uint8 records. Views of the records, or of a
+    C-ordered copy when a row's bytes are not contiguous; unaligned is fine."""
+    words = np.ascontiguousarray(records).view(np.uint64)
+    return words[:, :2], words[:, 2:]
+
+
+def _mask(words: np.ndarray, key: SecretKey, out: np.ndarray) -> np.ndarray:
+    """`words` (n, 2) XOR the CAF segment into `out`, a column of uint64 at a time."""
+    for j, m in enumerate(key._mask_words):
+        np.bitwise_xor(words[:, j], m, out=out[:, j])
+    return out
+
+
 def _records(ciphertext: np.ndarray, final_data: np.ndarray, key: SecretKey) -> np.ndarray:
     """Read-only row-major (n, 32) records: ciphertext rows, then masked final data."""
     records = np.empty((len(ciphertext), RECORD_BYTES), np.uint8)
-    records[:, :BLOCK_BYTES] = ciphertext
-    mask = np.frombuffer(key.caf_segment, np.uint8)
-    np.bitwise_xor(final_data, mask, out=records[:, BLOCK_BYTES:])
+    cipher_words, final_words = _halves(records)
+    cipher_words.view(np.uint8)[:], final_words.view(np.uint8)[:] = ciphertext, final_data
+    _mask(final_words, key, final_words)
     records.flags.writeable = False
     return records
 
 
 def _unmask(records: np.ndarray, key: SecretKey) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of _records: the (ciphertext, final data) rows of (n, 32) records."""
-    mask = np.frombuffer(key.caf_segment, np.uint8)
-    return records[:, :BLOCK_BYTES], records[:, BLOCK_BYTES:] ^ mask
+    """Inverse of _records: the (ciphertext, final data) byte rows of (n, 32) records."""
+    cipher_words, masked = _halves(records)
+    final = _mask(masked, key, np.empty((len(masked), 2), np.uint64))
+    return cipher_words.view(np.uint8), final.view(np.uint8)
 
 
 def mask_final_data(final_data: bytes, key: SecretKey) -> bytes:
@@ -446,10 +476,10 @@ def encrypt_block(
     """Encrypt one 16-byte block with caller-supplied random initial data."""
     _block(plaintext, "plaintext")
     _block(rid, "rid")
-    row = _encrypt_padded(plaintext, key, params, rid)[0]
+    ciphertext, masked = _halves(_encrypt_padded(plaintext, key, params, rid))
     return CipherRecord(
-        ciphertext=row[:BLOCK_BYTES].tobytes(),
-        encrypted_final_data=row[BLOCK_BYTES:].tobytes(),
+        ciphertext=ciphertext.tobytes(),
+        encrypted_final_data=masked.tobytes(),
         rounds=params.rounds,
         caf_steps=params.caf_steps,
     )

@@ -15,8 +15,10 @@ import errno
 import functools
 import os
 import secrets
+import signal
 import stat
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +64,15 @@ _FORMAT_BLOCK = 1 << 16  # states `rpca cycles` formats at a time
 
 class UsageError(Exception):
     pass
+
+
+class _Killed(BaseException):
+    """A SIGTERM or SIGHUP, raised in a running command so that _write_atomic removes
+    its temp file; main then dies by the signal."""
+
+
+def _killed(signum, frame):
+    raise _Killed(signum)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -388,11 +399,24 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
+    # signal.signal works only in the main thread; a handler set by the caller, or
+    # SIG_IGN (nohup), is left as it is
+    caught = [s for s in (signal.SIGTERM, signal.SIGHUP) if signal.getsignal(s) is signal.SIG_DFL
+              and threading.current_thread() is threading.main_thread()]
     try:
+        for signum in caught:
+            signal.signal(signum, _killed)
         return args.func(args)
     except (CipherError, ContainerError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _Killed as exc:
+        killed = exc.args[0]
+    finally:
+        for signum in caught:
+            signal.signal(signum, signal.SIG_DFL)
+    os.kill(os.getpid(), killed)  # die by it, as with no handler
+    return 128 + killed  # only if the signal is blocked
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ from rpca.cipher import (
     round_inverse,
     row_shift,
 )
+from rpca.container import ContainerHeader, read_container, write_container
 from rpca.second_order import SecondOrderState, so_iterate_backward, so_iterate_forward
 
 from helpers import (
@@ -736,6 +737,28 @@ class TestStreams:
         records = encrypt_stream(data, key, SMALL, SeededRidSource(b"t"))
         assert len(records) == size // 16 + 1
         assert decrypt_stream(records, key, SMALL) == data
+
+    @pytest.mark.parametrize("layout", ["unaligned", "strided", "fortran"])
+    def test_records_in_any_layout_decrypt_alike(self, layout):
+        # the mask is applied to the records as uint64 words: read_container's view
+        # starts at byte 18, so those words are not 8-byte aligned
+        rng = np.random.default_rng(24)
+        key, data = rand_key(rng), rng.bytes(1000)
+        records = encrypt_stream(data, key, SMALL, SeededRidSource(b"layout"))
+        if layout == "unaligned":
+            header = ContainerHeader(SMALL.rounds, SMALL.caf_steps, len(data))
+            laid = read_container(write_container(header, records))[1]
+            assert laid.ctypes.data % 8
+        elif layout == "strided":
+            wide = np.zeros((2 * len(records), 32), np.uint8)
+            wide[::2] = records
+            laid = wide[::2]
+        else:
+            laid = np.asfortranarray(records)
+        assert np.array_equal(laid, records)
+        assert decrypt_stream(laid, key, SMALL) == data
+        for got, want in zip(cipher._unmask(laid, key), cipher._unmask(records, key)):
+            assert np.array_equal(got, want)
 
     def test_empty_input_is_one_padding_block(self):
         records = encrypt_stream(b"", ZERO_KEY, FAST, SeededRidSource(b"x"))

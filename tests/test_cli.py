@@ -5,11 +5,13 @@ import hashlib
 import io
 import re
 import os
+import signal
 import stat
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -318,6 +320,78 @@ class TestEncryptDecrypt:
         assert run(capsys, command, *argv, "--out", str(out))[0] == 0
         assert calls == [("fsync", out.stat().st_size), ("replace", "out")]
         assert out.stat().st_size > 0
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("signum", ["SIGTERM", "SIGHUP"])
+    def test_a_killed_encrypt_leaves_no_temp_file(self, tmp_path, signum):
+        # the signal comes while the child waits for its second chunk on a pipe: it
+        # dies by that signal, and --out keeps its old bytes with nothing beside it
+        signum = getattr(signal, signum)
+        fifo, out = tmp_path / "in.fifo", tmp_path / "sealed.rpca"
+        out.write_bytes(b"output of an earlier run")
+        os.mkfifo(fifo)
+        done = threading.Event()
+
+        def feed():  # one whole chunk, then the pipe stays open until the test ends
+            with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as f:
+                f.write(bytes(16 * cli._CHUNK_BLOCKS))
+                f.flush()
+                done.wait(120)
+
+        # both signals at their default, as from a shell, even if this run ignores one
+        code = ("import signal, sys\n"
+                "for s in (signal.SIGTERM, signal.SIGHUP): signal.signal(s, signal.SIG_DFL)\n"
+                "from rpca.cli import main\nsys.exit(main(sys.argv[1:]))")
+        child = subprocess.Popen(
+            [sys.executable, "-c", code, "encrypt", "--key", "00" * 32, "--in", str(fifo),
+             "--out", str(out), "--rounds", "1", "--steps", "2"],
+            stderr=subprocess.DEVNULL, env={**os.environ, "PYTHONPATH": str(SRC)})
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        try:
+            written = 18 + 32 * cli._CHUNK_BLOCKS  # the header's place and the chunk's records
+            deadline = time.monotonic() + 60
+            while not [p for p in tmp_path.glob(".sealed.rpca.*.tmp") if p.stat().st_size == written]:
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            child.send_signal(signum)
+            assert child.wait(timeout=60) == -signum
+        finally:
+            done.set()
+            child.kill()
+            child.wait()
+            feeder.join(timeout=10)
+        assert sorted(tmp_path.iterdir()) == [fifo, out]
+        assert out.read_bytes() == b"output of an earlier run"
+
+    def test_signals_are_caught_only_while_a_command_runs(self, tmp_path, capsys, monkeypatch):
+        # SIGTERM at its default is caught; SIGHUP ignored (as under nohup) stays ignored
+        seen, real = [], cli._write_atomic
+
+        def spy(*args, **kwargs):
+            seen.append((signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_write_atomic", spy)
+        before = signal.signal(signal.SIGTERM, signal.SIG_DFL), signal.signal(signal.SIGHUP, signal.SIG_IGN)
+        try:
+            code, _, _ = run(capsys, "keygen", "--out", str(tmp_path / "k"), "--seed", "01")
+            after = signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP)
+        finally:
+            signal.signal(signal.SIGTERM, before[0])
+            signal.signal(signal.SIGHUP, before[1])
+        assert code == 0
+        assert seen == [(cli._killed, signal.SIG_IGN)]
+        assert after == (signal.SIG_DFL, signal.SIG_IGN)
+
+    def test_a_command_runs_off_the_main_thread(self, tmp_path, capsys):
+        # signal.signal raises there, so main installs no handlers
+        codes = []
+        argv = ["keygen", "--out", str(tmp_path / "k"), "--seed", "01"]
+        worker = threading.Thread(target=lambda: codes.append(main(argv)))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive() and codes == [0], capsys.readouterr().err
 
     def test_out_of_range_rounds_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "p"
