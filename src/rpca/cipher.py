@@ -360,11 +360,14 @@ def _through_rounds(blocks: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """
     out = np.empty((len(blocks), 2), np.uint64)
     got = np.empty((min(len(blocks), _MAP_BLOCKS), 2), np.uint64)
+    xor = np.bitwise_xor
     for a in range(0, len(blocks), _MAP_BLOCKS):
         chunk, image = blocks[a : a + _MAP_BLOCKS], out[a : a + _MAP_BLOCKS]
-        tables[0].take(chunk[:, 0], axis=0, out=image, mode="clip")  # bytes never clip
-        for i in range(1, BLOCK_BYTES):
-            image ^= tables[i].take(chunk[:, i], axis=0, out=got[: len(chunk)], mode="clip")
+        got = got[: len(chunk)]  # only the last chunk is shorter
+        (table, column), *rest = zip(tables, chunk.T)
+        table.take(column, 0, image, "clip")  # bytes never clip
+        for table, column in rest:
+            xor(image, table.take(column, 0, got, "clip"), image)
     return out.view(np.uint8)
 
 

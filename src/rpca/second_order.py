@@ -17,9 +17,12 @@ gather from the rule's packed_rule_table, whose entries already hold the
 XNOR's complement, then an XOR with the previous row. Byte positions are
 rows, and the kernel holds each byte r bits up in uint16, as the table holds
 its entries: a window is then left << 8 | byte | right >> 8, masked, for any r.
+A step is eight numpy calls on operands built once per block, so a few blocks
+cost little more than the calls themselves.
 """
 from __future__ import annotations
 
+from itertools import cycle, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -98,7 +101,10 @@ def so_iterate_packed(
     Row j + 1 of an (n_bytes + 2, w) uint16 buffer holds byte j of w
     configurations, shifted up by r, and rows 0 and n_bytes + 1 mirror the
     cyclic wrap. The cipher passes block-major (m, n_bytes) rows, which each
-    block's load transposes.
+    block's load transposes. Each block builds, for each buffer, the views a
+    step reads and writes while that buffer holds the newer configuration, and
+    the ufuncs and the table's take are bound once per call, so a step is
+    eight calls with no view or keyword to build.
     """
     steps = as_count(steps, "steps", 1)
     prev, curr = np.asarray(prev), np.asarray(curr)
@@ -115,7 +121,10 @@ def so_iterate_packed(
     if (not 1 <= radius <= MAX_RADIUS or table.shape != (1 << (8 + 2 * radius),)
             or table.dtype != np.uint16):
         raise ValueError(f"not a packed rule table: {table.dtype} shape {table.shape}")
-    mask, r = np.array(table.size - 1, np.uint16), _SHIFTS[radius]
+    r, mask, eight = _SHIFTS[radius], np.array(table.size - 1, np.uint16), _SHIFTS[8]
+    shl, shr, bor, band, bxor = (np.left_shift, np.right_shift, np.bitwise_or, np.bitwise_and,
+                                 np.bitwise_xor)
+    copyto, take = np.copyto, table.take
     n, m = prev.shape[-1], prev.size // prev.shape[-1]
     rows = prev.reshape(m, n).T, curr.reshape(m, n).T
     out = np.empty((2, n, m), np.uint8)
@@ -124,23 +133,26 @@ def so_iterate_packed(
         w = min(width, m - a)
         state = np.empty((2, n + 2, w), np.uint16)
         state[0, 1:-1], state[1, 1:-1] = rows[0][:, a : a + w], rows[1][:, a : a + w]
-        np.left_shift(state, r, out=state)  # same-dtype and in place: a uint8 operand costs more
-        edges = state[:, :: n + 1], state[:, n : 0 : 1 - n] if n > 1 else state[:, 1:2]
-        flat = state.reshape(2, -1)
-        above, middle, below = flat[:, : n * w], flat[:, w:-w], flat[:, 2 * w :]
+        shl(state, r, state)  # same-dtype and in place: a uint8 operand costs more
         idx, got = np.empty((2, n * w), np.uint16)
-        c = 1  # which of the two buffers holds the newer configuration
-        for _ in range(steps):
-            np.copyto(*edges)
+        # For each buffer, curr's first, the operands of a step it holds the
+        # newer configuration for: its wrap rows' target and source, its above,
+        # middle and below windows, and the other buffer's middle to update.
+        operands, flat = [], state.reshape(2, -1)
+        for new, new_flat, old_flat in ((state[1], flat[1], flat[0]), (state[0], flat[0], flat[1])):
+            operands.append((new[:: n + 1], new[n : 0 : 1 - n] if n > 1 else new[1:2],
+                             new_flat[: n * w], new_flat[w:-w], new_flat[2 * w :], old_flat[w:-w]))
+        for edges, wrap, above, middle, below, older in islice(cycle(operands), steps):
+            copyto(edges, wrap)
             # window of bytes held << r: left << 8 | byte | right >> 8, masked to 8 + 2r bits
-            np.left_shift(above[c], _SHIFTS[8], out=idx)
-            np.bitwise_or(idx, middle[c], out=idx)
-            np.right_shift(below[c], _SHIFTS[8], out=got)
-            np.bitwise_or(idx, got, out=idx)
-            np.bitwise_and(idx, mask, out=idx)
-            table.take(idx, out=got, mode="clip")
-            c ^= 1
-            np.bitwise_xor(middle[c], got, out=middle[c])
-        np.right_shift(state, r, out=state)
-        out[:, :, a : a + w] = (state[::-1] if c == 0 else state)[:, 1:-1]
+            shl(above, eight, idx)
+            bor(idx, middle, idx)
+            shr(below, eight, got)
+            bor(idx, got, idx)
+            band(idx, mask, idx)
+            take(idx, None, got, "clip")
+            bxor(older, got, older)
+        shr(state, r, state)
+        # an odd step count leaves the newer configuration in buffer 0
+        out[:, :, a : a + w] = (state[::-1] if steps % 2 else state)[:, 1:-1]
     return out[0].T.reshape(prev.shape), out[1].T.reshape(prev.shape)

@@ -215,8 +215,9 @@ class TestIteratePacked:
         assert np.array_equal(p, np.packbits(ref.prev, axis=-1))
         assert np.array_equal(c, np.packbits(ref.curr, axis=-1))
 
+    @pytest.mark.parametrize("steps", [1, 2, 5])
     @pytest.mark.parametrize("n_bytes", [1, 2, 3, 8, 16])
-    def test_blocks_across_chunk_edges_match_per_cell_iteration(self, monkeypatch, n_bytes):
+    def test_blocks_across_chunk_edges_match_per_cell_iteration(self, monkeypatch, n_bytes, steps):
         # With _CHUNK = 7 the kernel steps max(1, 7 // n_bytes) configurations
         # per block, so these batches end just below, at and just above a
         # block edge; the default chunk needs far more bytes than any other
@@ -231,11 +232,23 @@ class TestIteratePacked:
                 if m == 0:
                     continue
                 prev, curr = rng.integers(0, 256, (2, n_bytes, m), dtype=np.uint8)
-                p, c = so_iterate_packed(prev.T, curr.T, table, 5)
+                p, c = so_iterate_packed(prev.T, curr.T, table, steps)
                 cells = SecondOrderState(*(np.unpackbits(x.T, axis=-1) for x in (prev, curr)))
-                ref = so_iterate_forward(cells, rule, Boundary.CYCLIC, 5)
+                ref = so_iterate_forward(cells, rule, Boundary.CYCLIC, steps)
                 assert np.array_equal(p, np.packbits(ref.prev, axis=-1)), m
                 assert np.array_equal(c, np.packbits(ref.curr, axis=-1)), m
+
+    @pytest.mark.parametrize("steps", [1, 32])
+    @pytest.mark.parametrize("m", [1, 4097])
+    def test_aliased_inputs_step_as_a_copy_and_stay_unwritten(self, m, steps):
+        # 4,097 rows of 16 bytes take three blocks at the default _CHUNK, the last one row
+        table = packed_rule_table(random_rule(3, random.Random(m)))
+        a = np.random.default_rng(m).integers(0, 256, (m, 16), dtype=np.uint8)
+        before = a.copy()
+        got = so_iterate_packed(a, a, table, steps)
+        want = so_iterate_packed(a, a.copy(), table, steps)
+        assert np.array_equal(a, before)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     @settings(max_examples=60, deadline=None)
     @given(
