@@ -376,17 +376,19 @@ def _cycle_order(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Whole-array passes over int32 arrays the size of `succ`, a few alive at once.
     """
     n = succ.size
-    # Cycle states are the image of succ^(2^k) once doubling k no longer shrinks it.
+    # The result first: the temporaries freed after it then leave no holes
+    # under it in the heap, which the lists built from it would sit above.
+    order = np.empty(n, dtype=np.int32)
+    # Cycle states are the image of succ^(2^k) once doubling k no longer shrinks
+    # it; an onto succ is done at once.
     on = np.zeros(n, dtype=bool)
     on[succ] = True
-    size, far = np.count_nonzero(on), succ
-    while True:
+    size, last, far = np.count_nonzero(on), n, succ
+    while size != last:
         far = far[far]
         on[:] = False
         on[far] = True
         size, last = np.count_nonzero(on), size
-        if size == last:
-            break
     # Pointer doubling over the cycle states: low is the least state within 2^k
     # steps, dist the steps to its first visit. When some state is transient, the
     # cycle states are renumbered in ascending order first; when every state
@@ -444,7 +446,6 @@ def _cycle_order(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     del low, dist
     off = ~on
     np.add(np.cumsum(off, dtype=np.int32), ends[-1] - 1, out=dest, where=off)
-    order = np.empty(n, dtype=np.int32)
     order[dest] = np.arange(n, dtype=np.int32)
     return order, lengths
 

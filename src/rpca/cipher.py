@@ -24,10 +24,10 @@ XORs. For a fixed round count the rounds are one affine map over GF(2), so
 a stream runs them as the key's map (_map_tables): per byte position, 256
 images to gather and XOR, built from the rounds of 17 columns. The core
 steps block-major rows, one gather per step from the key's window table
-(packed_rule_table, 32 KiB at radius 3). A SecretKey builds its schedule,
-window table and maps (64 KiB per direction, for the last round count used)
-on first use and keeps them while it lives, so reuse one SecretKey for a
-key's traffic.
+(packed_rule_table: 128 KiB, of which the steps read the 32 KiB in use at
+radius 3). A SecretKey builds its schedule, window table and maps (64 KiB
+per direction, for the last round count used) on first use and keeps them
+while it lives, so reuse one SecretKey for a key's traffic.
 
 All operations here are pure given an explicit rid. A stream's records are
 one read-only (n, 32) uint8 array, row i holding block i's 16 ciphertext

@@ -16,9 +16,10 @@ the byte, the high r bits of the byte to its right), so one step is a single
 gather from the rule's packed_rule_table, whose entries already hold the
 XNOR's complement, then an XOR with the previous row. Byte positions are
 rows, and the kernel holds each byte r bits up in uint16, as the table holds
-its entries: a window is then left << 8 | byte | right >> 8, masked, for any r.
-A step is eight numpy calls on operands built once per block, so a few blocks
-cost little more than the calls themselves.
+its entries: a window is then left << (16 - 2r) | byte | right >> 8, whose
+uint16 wrap drops all but the left byte's low r bits. A step is seven numpy
+calls on operands built once per block, so a few blocks cost little more
+than the calls themselves.
 """
 from __future__ import annotations
 
@@ -68,16 +69,24 @@ def so_iterate_backward(
 
 
 def packed_rule_table(rule: Rule) -> np.ndarray:
-    """Read-only uint16[2^(8+2r)] table in so_iterate_packed's form: window value
-    -> NOT of the 8 rule outputs, shifted up by r as the kernel holds its bytes.
+    """Read-only uint16 (2^r, 2^(16-r)) table in so_iterate_packed's form:
+    window value -> NOT of the 8 rule outputs, shifted up by r as the kernel
+    holds its bytes. Row: the left byte's low r bits. Column: byte << r | the
+    right byte's high r bits. Columns from 2^(8+r) on set one of the 8 - 2r gap
+    bits between the byte and the left field, which a window never sets; they
+    hold 0 and are never read.
 
     Built from the 2^(4+2r)-entry ca._window_table of 4 cells, complemented: the
     high nibble of a window's byte reads the window's top 4+2r bits, the low
-    nibble its bottom 4+2r bits, and the two share the middle 2r bits.
+    nibble its bottom 4+2r bits, and the two share the middle 2r bits. So each
+    high-nibble entry is repeated over the window's low 4 bits and ORed with
+    the low-nibble entry of its bottom 4+2r bits.
     """
-    nibble = (_window_table([rule] * 4) ^ 0xF).astype(np.uint16) << rule.radius
-    mid = 1 << (2 * rule.radius)
-    table = ((nibble.reshape(16, mid)[:, :, None] << 4) | nibble.reshape(mid, 16)).ravel()
+    r = rule.radius
+    nibble = (_window_table([rule] * 4) ^ 0xF).astype(np.uint16) << r
+    table = np.zeros((1 << r, 1 << (16 - r)), np.uint16)
+    used = table[:, : 1 << (8 + r)].reshape(1 << r, 16 >> r, -1)
+    np.bitwise_or(np.repeat(nibble << 4, 16).reshape(used.shape), nibble, out=used)
     table.setflags(write=False)
     return table
 
@@ -85,7 +94,7 @@ def packed_rule_table(rule: Rule) -> np.ndarray:
 # Window indices per block in so_iterate_packed: about 18 bytes each, so a
 # block's state and scratch (about 0.6 MB) stay in a 2 MiB L2 for all its steps.
 _CHUNK = 32768
-_SHIFTS = [np.array(k, np.uint16) for k in range(9)]  # 0-d: cheaper than ints
+_SHIFTS = [np.array(k, np.uint16) for k in range(15)]  # 0-d: cheaper than ints
 
 
 def so_iterate_packed(
@@ -94,7 +103,7 @@ def so_iterate_packed(
     """Apply `steps` cyclic updates (steps >= 1) to rows of packed bytes.
 
     `prev` and `curr` are (..., n_bytes) uint8 arrays and `table` comes from
-    packed_rule_table, whose length fixes the radius. Returns the new
+    packed_rule_table, whose shape fixes the radius. Returns the new
     (prev, curr). Calling it on the swapped pair (curr, prev) runs the
     trajectory backwards, returning the earlier pair swapped.
 
@@ -104,7 +113,7 @@ def so_iterate_packed(
     block's load transposes. Each block builds, for each buffer, the views a
     step reads and writes while that buffer holds the newer configuration, and
     the ufuncs and the table's take are bound once per call, so a step is
-    eight calls with no view or keyword to build.
+    seven calls with no view or keyword to build.
     """
     steps = as_count(steps, "steps", 1)
     prev, curr = np.asarray(prev), np.asarray(curr)
@@ -117,14 +126,13 @@ def so_iterate_packed(
                 raise ValueError(f"byte {at[0] if len(at) == 1 else at} must be in 0..255, "
                                  f"got {half[at]}")
     prev, curr = prev.astype(np.uint8, copy=False), curr.astype(np.uint8, copy=False)
-    radius = (table.size.bit_length() - 9) // 2
-    if (not 1 <= radius <= MAX_RADIUS or table.shape != (1 << (8 + 2 * radius),)
+    radius = (table.shape[0] if table.ndim == 2 else 0).bit_length() - 1
+    if (not 1 <= radius <= MAX_RADIUS or table.shape != (1 << radius, 1 << (16 - radius))
             or table.dtype != np.uint16):
         raise ValueError(f"not a packed rule table: {table.dtype} shape {table.shape}")
-    r, mask, eight = _SHIFTS[radius], np.array(table.size - 1, np.uint16), _SHIFTS[8]
-    shl, shr, bor, band, bxor = (np.left_shift, np.right_shift, np.bitwise_or, np.bitwise_and,
-                                 np.bitwise_xor)
-    copyto, take = np.copyto, table.take
+    r, up, eight = _SHIFTS[radius], _SHIFTS[16 - 2 * radius], _SHIFTS[8]
+    shl, shr, bor, bxor = np.left_shift, np.right_shift, np.bitwise_or, np.bitwise_xor
+    copyto, take = np.copyto, table.reshape(-1).take
     n, m = prev.shape[-1], prev.size // prev.shape[-1]
     rows = prev.reshape(m, n).T, curr.reshape(m, n).T
     out = np.empty((2, n, m), np.uint8)
@@ -144,12 +152,11 @@ def so_iterate_packed(
                              new_flat[: n * w], new_flat[w:-w], new_flat[2 * w :], old_flat[w:-w]))
         for edges, wrap, above, middle, below, older in islice(cycle(operands), steps):
             copyto(edges, wrap)
-            # window of bytes held << r: left << 8 | byte | right >> 8, masked to 8 + 2r bits
-            shl(above, eight, idx)
+            # window of bytes held << r: left << (16 - 2r) | byte | right >> 8
+            shl(above, up, idx)
             bor(idx, middle, idx)
             shr(below, eight, got)
             bor(idx, got, idx)
-            band(idx, mask, idx)
             take(idx, None, got, "clip")
             bxor(older, got, older)
         shr(state, r, state)

@@ -270,17 +270,39 @@ class TestIteratePacked:
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_every_table_entry_matches_the_oracle(self, radius):
         # with prev all 0 the new byte is the table entry itself; the middle
-        # 8 cells of a window have their whole neighborhood inside it
+        # 8 cells of a window have their whole neighborhood inside it. The
+        # kernel reads window (left r bits, byte, right r bits) at
+        # left << (16 - r) | byte << r | right, and the entry is the new
         # byte, shifted up by the radius as the kernel holds its bytes
         rule = random_rule(radius, random.Random(radius))
         table = packed_rule_table(rule)
         width = 8 + 2 * radius
-        assert table.shape == (1 << width,) and table.dtype == np.uint16
+        assert table.shape == (1 << radius, 1 << (16 - radius)) and table.dtype == np.uint16
         assert not table.flags.writeable
+        flat = table.reshape(-1)
         for window in range(1 << width):
             cells = bits_of_bytes(window.to_bytes(3, "big"))[24 - width :]
             _, new = naive_so_step([0] * width, cells, rule.number, radius, "null")
-            assert table[window] == bytes_of_bits(new[radius : radius + 8])[0] << radius, window
+            index = (window >> (8 + radius)) << (16 - radius) | window & ((1 << (8 + radius)) - 1)
+            assert flat[index] == bytes_of_bits(new[radius : radius + 8])[0] << radius, window
+
+    @pytest.mark.parametrize("n_bytes", [1, 2, 16])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_gap_entries_are_zero_and_never_read(self, radius, n_bytes):
+        # a window's 8 - 2r bits between the byte and the left field are 0,
+        # so the columns from 2^(8+r) on are never gathered
+        rule = random_rule(radius, random.Random(10 * radius + n_bytes))
+        table = packed_rule_table(rule)
+        used = 1 << (8 + radius)
+        assert not table[:, used:].any()
+        poisoned = table.copy()
+        poisoned[:, used:] = 0xFFFF
+        rng = np.random.default_rng(n_bytes)
+        prev, curr = rng.integers(0, 256, (2, 5, n_bytes), dtype=np.uint8)
+        for steps in (1, 2, 7):
+            got = so_iterate_packed(prev, curr, poisoned, steps)
+            want = so_iterate_packed(prev, curr, table, steps)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), steps
 
     def test_zero_steps_rejected(self):
         table = packed_rule_table(RULE_204)
@@ -308,14 +330,16 @@ class TestIteratePacked:
         with pytest.raises(ValueError, match=re.escape("byte (0, 0) must be in 0..255, got 1.5")):
             so_iterate_packed(pair["prev"], pair["curr"], packed_rule_table(RULE_204), 1)
 
-    @pytest.mark.parametrize("form", ["uint8", "short", "long"])
+    @pytest.mark.parametrize("form", ["flat", "uint8", "short", "long", "transposed"])
     def test_table_not_in_the_kernel_form_rejected(self, form):
-        # take(out=uint16) would cast uint8 entries unshifted, and a wrong length
-        # would mask the windows to the wrong radius
+        # the flat 2^(8+2r) form would be read past its end, take(out=uint16)
+        # would cast uint8 entries unshifted, and a wrong shape would be read
+        # as another radius
         table = packed_rule_table(RULE_204)
-        table = {"uint8": (table >> 1).astype(np.uint8), "short": table[: table.size // 2],
-                 "long": np.concatenate([table, table])}[form]
-        message = f"not a packed rule table: {table.dtype} shape ({table.size},)"
+        table = {"flat": table[:, : 1 << 9].ravel(), "uint8": (table >> 1).astype(np.uint8),
+                 "short": table[:1], "long": np.concatenate([table, table]),
+                 "transposed": table.T}[form]
+        message = f"not a packed rule table: {table.dtype} shape {table.shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
             so_iterate_packed(np.zeros(2, np.uint8), np.ones(2, np.uint8), table, 1)
 
