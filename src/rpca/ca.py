@@ -376,8 +376,8 @@ def _cycle_order(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Whole-array passes over int32 arrays the size of `succ`, a few alive at once.
     """
     n = succ.size
-    # The result first: the temporaries freed after it then leave no holes
-    # under it in the heap, which the lists built from it would sit above.
+    # Allocated before the temporaries, so that freeing them leaves no heap
+    # held resident under the result while the caller builds lists from it.
     order = np.empty(n, dtype=np.int32)
     # Cycle states are the image of succ^(2^k) once doubling k no longer shrinks
     # it; an onto succ is done at once.

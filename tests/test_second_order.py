@@ -332,9 +332,9 @@ class TestIteratePacked:
 
     @pytest.mark.parametrize("form", ["flat", "uint8", "short", "long", "transposed"])
     def test_table_not_in_the_kernel_form_rejected(self, form):
-        # the flat 2^(8+2r) form would be read past its end, take(out=uint16)
-        # would cast uint8 entries unshifted, and a wrong shape would be read
-        # as another radius
+        # the old flat 2^(8+2r) form has no room for the windows' left field,
+        # take(out=uint16) would cast uint8 entries unshifted, and a wrong
+        # shape would be read as another radius
         table = packed_rule_table(RULE_204)
         table = {"flat": table[:, : 1 << 9].ravel(), "uint8": (table >> 1).astype(np.uint8),
                  "short": table[:1], "long": np.concatenate([table, table]),
