@@ -21,6 +21,7 @@ import numpy as np
 MAX_RADIUS = 3
 EXHAUSTIVE_CELL_LIMIT = 20
 _CODE_BLOCK = 1 << 14  # codes per global_map block; a block's uint64 windows are 128 KiB
+_TAKE_BLOCK = 1 << 14  # index entries per take or put in _cycle_order; their intp copy is 128 KiB
 _LIST_BLOCK = 1 << 14  # cycles per block of cycle_structure's lists
 _PLACES = np.array([128, 64, 32, 16, 8, 4, 2, 1], np.uint8)  # _window_table's output bits
 
@@ -369,11 +370,27 @@ class CycleReport:
         return self.lengths.tolist()
 
 
+def _take(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[index], by `take` over blocks of index, so its intp copy of them stays small."""
+    out = np.empty(index.size, table.dtype)
+    for lo in range(0, index.size, _TAKE_BLOCK):  # indices are in range; "raise" would buffer out
+        table.take(index[lo : lo + _TAKE_BLOCK], out=out[lo : lo + _TAKE_BLOCK], mode="clip")
+    return out
+
+
+def _put(target: np.ndarray, index: np.ndarray, values) -> None:
+    """target[index] = values, by `put` over blocks of index, as `_take` gathers."""
+    for lo in range(0, index.size, _TAKE_BLOCK):
+        np.put(target, index[lo : lo + _TAKE_BLOCK], values[lo : lo + _TAKE_BLOCK])
+
+
 def _cycle_order(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every state code, cycle by cycle as cycle_structure lists them, then the
     transients ascending; and each cycle's length.
 
-    Whole-array passes over int32 arrays the size of `succ`, a few alive at once.
+    Whole-array passes over int32 arrays, a few alive at once: the image squaring and
+    the basins over every state, the doubling and the destinations over the cycle
+    states. Gathers go through `_take` and scatters through `_put`; no pass divides.
     """
     n = succ.size
     # Allocated before the temporaries, so that freeing them leaves no heap
@@ -385,68 +402,65 @@ def _cycle_order(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     on[succ] = True
     size, last, far = np.count_nonzero(on), n, succ
     while size != last:
-        far = far[far]
+        far = _take(far, far)
         on[:] = False
         on[far] = True
         size, last = np.count_nonzero(on), size
-    # Pointer doubling over the cycle states: low is the least state within 2^k
-    # steps, dist the steps to its first visit. When some state is transient, the
-    # cycle states are renumbered in ascending order first; when every state
-    # cycles, that renumbering would be the identity.
+    # The cycle states, renumbered in ascending order when some state is transient
+    # (when every state cycles, that renumbering would be the identity), and their map.
+    # Transients follow every cycle, in ascending order.
+    succ_c = succ
     if size < n:
+        order[size:] = np.arange(n, dtype=np.int32)[~on]
         cyc = np.flatnonzero(on).astype(np.int32)
         inv = np.empty(n, dtype=np.int32)
-        inv[cyc] = np.arange(size, dtype=np.int32)
-        jump = inv[succ[cyc]]
-    else:
-        jump = succ
-        del far
+        _put(inv, cyc, np.arange(size, dtype=np.int32))
+        succ_c = _take(inv, _take(succ, cyc))
+    # Pointer doubling: low is the least state within 2^k steps, dist the steps
+    # to its first visit.
     low = np.arange(size, dtype=np.int32)
     dist = np.zeros(size, dtype=np.int32)
     later = np.empty(size, dtype=bool)
-    step = 1
+    jump, step = succ_c, 1
     while True:
-        ahead = low[jump]
+        ahead = _take(low, jump)
         np.less(ahead, low, out=later)
         if not later.any():
             break
         np.minimum(low, ahead, out=low)
         del ahead
-        np.add(dist[jump], step, out=dist, where=later)
-        jump = jump[jump]
+        np.add(_take(dist, jump), step, out=dist, where=later)
+        jump = _take(jump, jump)
         step *= 2
     del ahead, jump, later
-    if size < n:  # back to codes; far lands every state on its cycle
-        low = cyc[low][inv[far]]
-        del far, inv
-        cyc_dist, dist = dist, np.zeros(n, dtype=np.int32)
-        dist[cyc] = cyc_dist
-        del cyc, cyc_dist
-    # Each basin's least code is the start whose walk finds its cycle.
-    first = np.full(n, n, dtype=np.int32)
-    np.minimum.at(first, low, np.arange(n, dtype=np.int32))
-    heads = np.flatnonzero(first < n)
-    heads = heads[np.argsort(first[heads])]
-    entry = first[heads]  # walked in lockstep to where each start meets its cycle
-    while not (hit := on[entry]).all():
-        entry = np.where(hit, entry, succ[entry])
-    lengths = dist[succ[heads]] + 1
-    del succ
+    # Each cycle is headed by its least state, the one at dist 0, and found from the
+    # least code whose walk reaches it: the head itself when every state cycles.
+    heads = entry = np.flatnonzero(dist == 0)
+    if size < n:  # far lands every state on its cycle
+        first = np.full(size, n, dtype=np.int32)
+        np.minimum.at(first, _take(low, _take(inv, far)), np.arange(n, dtype=np.int32))
+        del far
+        heads = heads[np.argsort(_take(first, heads))]
+        entry = _take(first, heads)  # walked in lockstep to where each start meets its cycle
+        while not (hit := _take(on, entry)).all():
+            entry = np.where(hit, entry, _take(succ, entry))
+        entry = _take(inv, entry)
+        del first, inv
+    lengths = _take(dist, _take(succ_c, heads)) + 1
+    del succ, succ_c
     ends = np.cumsum(lengths, dtype=np.int32)
-    skew = dist[entry]
-    first[heads] = np.arange(heads.size, dtype=np.int32)
-    low = first[low]  # each state's cycle, numbered in the order it is found
-    del first
-    # A cycle state lands (dist(entry) - dist) mod length past its cycle's start;
-    # transients follow every cycle, in ascending order.
-    dest = skew[low]
+    skew = _take(dist, entry)
+    rank = np.empty(size, dtype=np.int32)
+    _put(rank, heads, np.arange(heads.size, dtype=np.int32))
+    found = _take(rank, low)  # each cycle state's cycle, numbered in the order it is found
+    del rank, low
+    # A cycle state lands (dist(entry) - dist) mod length past its cycle's start.
+    dest = _take(skew, found)
     dest -= dist
-    np.remainder(dest, lengths[low], out=dest)
-    dest += (ends - lengths)[low]
-    del low, dist
-    off = ~on
-    np.add(np.cumsum(off, dtype=np.int32), ends[-1] - 1, out=dest, where=off)
-    order[dest] = np.arange(n, dtype=np.int32)
+    dest += _take(lengths, found) * (dest < 0)
+    dest += _take(ends - lengths, found)
+    del found, dist
+    _put(order, dest, cyc if size < n else np.arange(n, dtype=np.int32))
     return order, lengths
 
 

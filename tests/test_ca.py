@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpca import ca
@@ -509,6 +509,22 @@ def crafted_map(kind, n, rng):
     return succ
 
 
+def functional_graph(n, rng):
+    """Successor codes over n states under shuffled labels: cycles of mixed lengths
+    over some of them, and trees of random depth feeding the rest into those."""
+    labels = rng.permutation(n)
+    k = int(rng.choice([1, rng.integers(1, n + 1), n]))  # cycle states
+    succ = np.empty(n, dtype=np.int32)
+    cuts = np.sort(rng.choice(np.arange(1, k), int(rng.integers(0, k)), replace=False))
+    for cycle in np.split(labels[:k], cuts):
+        succ[cycle] = np.roll(cycle, -1)
+    # tree state i feeds into one of the `reach` states labelled just before it
+    i, reach = np.arange(k, n), int(rng.integers(1, n + 1))
+    low = np.maximum(0, i - reach)
+    succ[labels[k:]] = labels[low + (rng.random(i.size) * (i - low)).astype(np.intp)]
+    return succ
+
+
 class TestCycleStructure:
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 257, 4096])
     @pytest.mark.parametrize("kind", CRAFTED_MAPS)
@@ -521,6 +537,23 @@ class TestCycleStructure:
             cycles, transients = naive_cycle_walk(succ)
             assert report.cycles == cycles
             assert report.transient_states == transients
+
+    # block edges of ca._TAKE_BLOCK and of a 2^16-entry index
+    @given(n=st.integers(1, 5000) | st.sampled_from([2**14 - 1, 2**14, 2**14 + 1,
+                                                     2**16 - 1, 2**16, 2**16 + 1]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=2**14 + 1, seed=0)
+    @example(n=2**16 + 1, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_walk_on_random_functional_graphs(self, n, seed):
+        succ = functional_graph(n, np.random.default_rng(seed))
+        succ.flags.writeable = False  # the census must not write into the map it is handed
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ca, "global_map", lambda rules, boundary, cells: succ)
+            report = ca.cycle_structure(ca.make_rule(1, 30), Boundary.CYCLIC, 12)
+        cycles, transients = naive_cycle_walk(succ)
+        assert report.cycles == cycles
+        assert report.transient_states == transients
 
     @pytest.mark.parametrize("n", [1, 10, 4096])
     @pytest.mark.parametrize("kind", CRAFTED_MAPS)
@@ -646,8 +679,10 @@ class TestCycleStructure:
         census = ("rules = [ca.make_rule(1, n) for n in (51, 51, 195, 153) * 5]\n"
                   "report = ca.cycle_structure(rules, ca.Boundary.NULL, 20)\n"
                   "report.cycles, report.transient_states")
-        extra = child_peak_mib(census) - child_peak_mib("")
-        assert extra < 1.05 * 70.1
+        peak, base = child_peak_mib(census), child_peak_mib("")
+        assert peak - base < 1.05 * 70.1, (
+            f"census child peaked at {peak:.1f} MiB and import-only child at {base:.1f} MiB: "
+            f"{peak - base:.1f} MiB more, against a bound of {1.05 * 70.1:.1f} MiB")
 
     def test_legacy_vector_four_cycles_of_four(self):
         report = ca.cycle_structure(vector(51, 51, 195, 153), Boundary.NULL, 4)
