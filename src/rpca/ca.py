@@ -24,6 +24,7 @@ _CODE_BLOCK = 1 << 14  # codes per global_map block; a block's uint64 windows ar
 _TAKE_BLOCK = 1 << 14  # index entries per take or put in _cycle_order; their intp copy is 128 KiB
 _LIST_BLOCK = 1 << 14  # cycles per block of cycle_structure's lists
 _PLACES = np.array([128, 64, 32, 16, 8, 4, 2, 1], np.uint8)  # _window_table's output bits
+_TWO = np.array(2, np.uint8)  # 0-d: a Python int operand would cost a conversion per call
 
 
 class Boundary(str, Enum):
@@ -107,33 +108,12 @@ def complement_rule(rule: Rule) -> Rule:
     return rule_from_table(rule.radius, 1 - rule.table)
 
 
-def _neighborhood_index(states: np.ndarray, radius: int, boundary: Boundary) -> np.ndarray:
-    """Per-cell neighborhood pattern indices, vectorized over leading axes.
-
-    `states` has shape (..., n); the result has the same shape with values in
-    0..2^(2r+1)-1, the leftmost neighbor contributing the most significant bit.
-    """
-    n = states.shape[-1]
-    ext = np.zeros(states.shape[:-1] + (n + 2 * radius,), np.uint8)  # null edges read 0
-    ext[..., radius : radius + n] = states
-    if boundary is Boundary.CYCLIC:
-        for _ in range(0, radius, n):  # ceil(r / n) passes, each wrapping n more columns in
-            ext[..., :radius] = ext[..., n : n + radius]
-            ext[..., n + radius :] = ext[..., radius : 2 * radius]
-    # Values stay below 2^7 for radius <= 3, so uint8 arithmetic is safe.
-    idx = ext[..., 0:n].copy()
-    for k in range(1, 2 * radius + 1):
-        idx += idx  # numpy vectorises a uint8 add, not a uint8 shift
-        np.bitwise_or(idx, ext[..., k : k + n], out=idx)
-    return idx
-
-
 def _rule_vector(rules: Rule | Sequence[Rule], n: int) -> list[Rule]:
     """The rules as a list of 1 or n entries of one radius, or ValueError."""
     vec = [rules] if isinstance(rules, Rule) else list(rules)
     if len(vec) not in (1, n):
         raise ValueError(f"rule vector has {len(vec)} entries; need 1 or {n} for {n} cells")
-    if any(r.radius != vec[0].radius for r in vec):
+    if len({rule.radius for rule in vec}) > 1:
         raise ValueError("all rules in a vector must share one radius")
     return vec
 
@@ -141,25 +121,48 @@ def _rule_vector(rules: Rule | Sequence[Rule], n: int) -> list[Rule]:
 def _stepper(
     rules: Rule | Sequence[Rule], boundary: Boundary, shape: tuple[int, ...]
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """One synchronous update of checked uint8 batches of n cells, n being `shape`'s last axis.
+    """One synchronous update of checked uint8 batches of `shape`, n cells being its last axis.
 
-    The shape, rule vector and boundary are checked and the tables laid end to
-    end here, once, so a walk that applies the step many times pays none of it per step.
+    The shape, rule vector and boundary are checked, the tables laid end to end and
+    the step's buffers and their views built here, once, so a walk that applies the
+    step many times pays none of it per step. A step copies the rows into the middle
+    of a (..., n + 2r) buffer, whose edge columns stay 0 for null boundaries and on a
+    ring are refilled from it; builds each cell's neighborhood index in place, the
+    leftmost neighbor most significant; and returns a fresh array from one `take`.
+    The step reuses its buffers, so it must never run in two threads at once: keep
+    each step local to the call that built it.
     """
     if not shape or not (n := shape[-1]):
         raise ValueError(f"configurations need at least one cell, got shape {shape}")
     vec = _rule_vector(rules, n)
-    radius = vec[0].radius
-    boundary = Boundary(boundary)
+    r = vec[0].radius
+    ext = np.zeros(shape[:-1] + (n + 2 * r,), np.uint8)
+    first, last = ext[..., :n], ext[..., 2 * r :]  # window k holds each cell's neighbor k - r
+    inner = [ext[..., k : k + n] for k in range(1, 2 * r)]
+    rows = inner[r - 1]  # window r: the cells themselves
+    wraps = [] if Boundary(boundary) is Boundary.NULL else [  # ceil(r / n) passes, each
+        (ext[..., :r], ext[..., n : n + r]),                  # wrapping n more columns in
+        (ext[..., n + r :], ext[..., r : 2 * r])] * len(range(0, r, n))
     tables, offsets = vec[0].table, None
+    index = idx = np.empty(shape, np.uint8)  # patterns stay below 2^7 for radius <= 3
     if len(vec) > 1:  # cell i's table starts at i * 2^(2r+1); uint16 offsets while they fit
-        tables = np.concatenate([r.table for r in vec])
+        tables = np.concatenate([rule.table for rule in vec])
         offsets = np.arange(0, tables.size, tables.size // n,
                             dtype=np.uint16 if tables.size <= 1 << 16 else np.intp)
+        index = np.empty(shape, offsets.dtype)
 
     def step(states: np.ndarray) -> np.ndarray:
-        idx = _neighborhood_index(states, radius, boundary)
-        return tables.take(idx if offsets is None else idx + offsets, mode="clip")
+        rows[...] = states
+        for edge, ring in wraps:
+            edge[...] = ring
+        np.multiply(first, _TWO, out=idx)  # numpy vectorises a uint8 product or add, not a shift
+        for window in inner:
+            np.bitwise_or(idx, window, out=idx)
+            np.add(idx, idx, out=idx)
+        np.bitwise_or(idx, last, out=idx)
+        if offsets is not None:  # multiples of 2^(2r+1), so OR adds them
+            np.bitwise_or(idx, offsets, out=index)
+        return tables.take(index, mode="clip")
     return step
 
 

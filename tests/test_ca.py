@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import re
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rpca import ca
+from rpca import ca, pca
 from rpca.ca import Boundary
+from rpca.second_order import SecondOrderState, so_iterate_forward
 
-from helpers import child_peak_mib, naive_cycle_walk, naive_step
+from helpers import child_peak_mib, naive_cycle_walk, naive_so_run, naive_step
 
 # Rule/output rows for the six reversible elementary rules, columns ordered
 # 111 110 101 100 011 010 001 000 (highest pattern first).
@@ -291,6 +293,94 @@ class TestIterate:
             ca.iterate(cfg, vector(51, 51, 195, 153), Boundary.NULL, 0)
         with pytest.raises(ValueError, match="torus"):
             ca.iterate(cfg, ca.make_rule(1, 30), "torus", 0)
+
+
+def bit_rows(count, cells):
+    """Strategy: `count` rows of `cells` 0/1 cells, as a read-only uint8 array."""
+    def frozen(rows):
+        array = np.array(rows, np.uint8).reshape(count, cells)
+        array.setflags(write=False)
+        return array
+    row = st.lists(st.integers(0, 1), min_size=cells, max_size=cells)
+    return st.lists(row, min_size=count, max_size=count).map(frozen)
+
+
+class TestStepperBuffers:
+    """A built step reuses its buffers, yet every step returns an array of its own."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from([(), (1,), (3,), (2, 3)]),
+           st.sampled_from(list(Boundary)), st.booleans(), st.integers(1, 6), st.data())
+    def test_each_output_keeps_its_value(self, radius, lead, boundary, uniform, steps, data):
+        # widths 1..2r+2, so a ring narrower than the radius wraps more than once
+        n = data.draw(st.integers(1, 2 * radius + 2), label="cells")
+        top = (1 << (1 << (2 * radius + 1))) - 1
+        numbers = data.draw(st.lists(st.integers(0, top), min_size=1 if uniform else n,
+                                     max_size=1 if uniform else n), label="rules")
+        states = data.draw(bit_rows(int(np.prod(lead)), n), label="states").reshape(lead + (n,))
+        step = ca._stepper(vector(*numbers, radius=radius), boundary, states.shape)
+        outputs = [states]
+        for _ in range(steps):
+            outputs.append(step(outputs[-1]))
+            outputs[-1].setflags(write=False)
+        rows = states.reshape(-1, n).tolist()
+        for t, out in enumerate(outputs[1:], 1):
+            rows = [naive_step(row, numbers, radius, boundary.value) for row in rows]
+            assert out.shape == states.shape and out.reshape(-1, n).tolist() == rows, t
+            assert not any(np.shares_memory(out, other) for other in outputs[:t]), t
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from(list(Boundary)), st.integers(1, 5), st.data())
+    def test_second_order_pair_keeps_both_halves(self, radius, boundary, steps, data):
+        n = data.draw(st.integers(1, 2 * radius + 2), label="cells")
+        number = data.draw(st.integers(0, (1 << (1 << (2 * radius + 1))) - 1), label="rule")
+        prev, curr = data.draw(bit_rows(3, n), label="prev"), data.draw(bit_rows(3, n), label="curr")
+        out = so_iterate_forward(SecondOrderState(prev, curr), ca.make_rule(radius, number),
+                                 boundary, steps)
+        for row in range(3):
+            want_prev, want_curr, _ = naive_so_run(prev[row].tolist(), curr[row].tolist(),
+                                                   number, radius, boundary.value, steps)
+            assert (out.prev[row].tolist(), out.curr[row].tolist()) == (want_prev, want_curr)
+        assert not np.shares_memory(out.curr, out.prev)
+        assert not any(np.shares_memory(out.curr, half) for half in (prev, curr))
+
+    def test_two_threads_stepping_at_once_match_serial_runs(self):
+        # each call builds its own step; buffers shared between calls would mix the threads.
+        # 2^16 cells keep numpy's loops long enough to run without the GIL, so the walks overlap
+        rng = np.random.default_rng(35)
+        walks = [rng.integers(0, 2, 1 << 16).astype(np.uint8) for _ in range(2)]
+        ring = vector(*[240] * 12)  # a per-cell vector of the right shift: period 12
+        starts = [ca.parse_bits("100000000000"), ca.parse_bits("110100000000")]
+
+        def work(k):
+            return [(ca.iterate(walks[k], ca.make_rule(1, 30), Boundary.CYCLIC, 7).tolist(),
+                     pca.cycle_encipher(starts[k], ring, Boundary.CYCLIC).tolist())
+                    for _ in range(200)]
+
+        serial, threaded = [work(k) for k in range(2)], [None, None]
+        barrier = threading.Barrier(2, timeout=60)
+
+        def run(k):
+            barrier.wait()
+            threaded[k] = work(k)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert threaded == serial
+        for k in range(2):
+            walk = walks[k]
+            for _ in range(7):  # rule 30: left XOR (center OR right)
+                walk = np.roll(walk, 1) ^ (walk | np.roll(walk, -1))
+            assert serial[k][0] == (walk.tolist(), np.roll(starts[k], 6).tolist())
 
 
 class TestClosedForms:
