@@ -62,6 +62,7 @@ def as_count(value: object, name: str, low: int, high: int | None = None) -> int
 def make_rule(radius: int, rule_number: int) -> Rule:
     """Build the lookup table for a Wolfram rule number at the given radius."""
     radius = as_count(radius, "radius", 1, MAX_RADIUS)
+    rule_number = as_count(rule_number, "rule_number", float("-inf"))  # range checked below
     entries = 1 << (2 * radius + 1)
     limit = 1 << entries
     if not 0 <= rule_number < limit:
@@ -214,8 +215,7 @@ def step_many(states: np.ndarray, rules: Rule | Sequence[Rule], boundary: Bounda
 
 def step(config: np.ndarray, rules: Rule | Sequence[Rule], boundary: Boundary) -> np.ndarray:
     """One synchronous update of a single configuration; returns a new array."""
-    config = as_config(config)
-    return _stepper(rules, boundary, config.shape)(config)
+    return iterate(config, rules, boundary, 1)
 
 
 def iterate(

@@ -92,6 +92,7 @@ class SecretKey:
     raw: bytes
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "raw", bytes(memoryview(self.raw)))  # TypeError unless bytes-like
         if len(self.raw) != KEY_BYTES:
             raise KeyFormatError(f"key must be {KEY_BYTES} bytes, got {len(self.raw)}")
 
@@ -136,7 +137,7 @@ class SecretKey:
 
 def parse_key(raw: bytes) -> SecretKey:
     """Validate and split 32 raw key bytes into the three rule segments."""
-    return SecretKey(bytes(raw))
+    return SecretKey(raw)
 
 
 @dataclass(frozen=True)

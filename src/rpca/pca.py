@@ -94,6 +94,7 @@ class ControlProgram:
                 f"signals must be non-empty (cells, 2) or (steps, cells, 2), got {sig.shape}"
             )
         object.__setattr__(self, "signals", _control_bits(sig))
+        self.signals.flags.writeable = False  # checked once, so kept as checked
 
     @property
     def cells(self) -> int:

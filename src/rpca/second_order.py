@@ -54,8 +54,7 @@ def so_iterate_forward(
     step = _stepper(rule, boundary, curr.shape)
     for _ in range(steps):
         new = step(curr)  # fresh array, safe to update in place
-        np.bitwise_xor(new, prev, out=new)
-        np.bitwise_xor(new, 1, out=new)  # rule output XNOR previous state
+        np.equal(new, prev, out=new)  # rule output XNOR previous state
         prev, curr = curr, new
     return SecondOrderState(prev, curr)
 

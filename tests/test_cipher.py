@@ -101,6 +101,33 @@ class TestParseKey:
         with pytest.raises(KeyFormatError):
             parse_key(bytes(n))
 
+    @pytest.mark.parametrize("raw", [32, "x" * 32, list(range(32))], ids=["int", "str", "list"])
+    def test_non_bytes_like_key_refused(self, raw):
+        for build in (parse_key, cipher.SecretKey):
+            with pytest.raises(TypeError):
+                build(raw)
+
+    @pytest.mark.parametrize("build", [parse_key, cipher.SecretKey])
+    def test_bytes_like_key_holds_its_own_copy(self, build):
+        raw = bytes(range(32))
+        buffer = bytearray(raw)
+        key, want = build(buffer), parse_key(raw)
+        assert key.raw == raw and type(key.raw) is bytes
+        assert key == want and hash(key) == hash(want)
+
+        def sealed_by(k):
+            return encrypt_stream(b"sixteen byte msg", k, FAST, SeededRidSource(b"k"))
+
+        records = sealed_by(key)  # builds the key's expansion before the write below
+        buffer[:] = bytes(32)  # a later write to the caller's buffer reaches neither key
+        assert key.raw == raw
+        assert np.array_equal(sealed_by(key), records) and np.array_equal(sealed_by(want), records)
+        assert decrypt_stream(records, key, FAST) == b"sixteen byte msg"
+
+    def test_uint8_array_key_parses(self):
+        raw = np.arange(32, dtype=np.uint8)
+        assert parse_key(raw) == parse_key(raw.tobytes())
+
     def test_key_space_is_exactly_256_bits(self):
         # structural claim: the three segment widths tile the raw key
         assert 2 ** (8 * 8) * 2 ** (8 * 8) * 2 ** (16 * 8) == 2**256

@@ -728,18 +728,22 @@ def decrypted_whole(blob: bytes) -> bytes | None:
     return data if len(data) == header.plaintext_length else None
 
 
-def assert_decrypts_as_in_one_piece(blob: bytes) -> None:
-    """The chunked CLI accepts exactly what the whole-file reader accepts, with its bytes.
+def assert_decrypts_as_in_one_piece(blob: bytes, through: str = "file") -> None:
+    """The chunked CLI accepts exactly what the whole-file reader accepts, with its bytes,
+    from a file (whose size is checked up front) or a pipe (read to its end).
 
     On exit 2 the earlier output is unchanged and no temp file is left.
     """
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CHUNK_BLOCKS", CHUNK):
         src, out = Path(tmp) / "in.rpca", Path(tmp) / "out.bin"
-        src.write_bytes(blob)
+        feeder = source(src, blob, through)
         out.write_bytes(b"output of an earlier run")
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = main(["decrypt", "--key", EDGE_KEY, "--in", str(src), "--out", str(out)])
+        if feeder is not None:
+            feeder.join(timeout=10)
+            assert not feeder.is_alive()
         want = decrypted_whole(blob)
         assert code == (2 if want is None else 0), sink.getvalue()
         assert out.read_bytes() == (b"output of an earlier run" if want is None else want)
@@ -757,18 +761,20 @@ class TestChunkedReaderFuzz:
     def test_arbitrary_bytes_after_a_valid_prefix(self, tail):
         assert_decrypts_as_in_one_piece(b"RPC1\x01" + tail)
 
+    @pytest.mark.parametrize("through", THROUGH)
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(FUZZ_CONTAINERS), st.data())
-    def test_truncations(self, blob, data):
-        assert_decrypts_as_in_one_piece(blob[: data.draw(st.integers(0, len(blob) - 1))])
+    def test_truncations(self, through, blob, data):
+        assert_decrypts_as_in_one_piece(blob[: data.draw(st.integers(0, len(blob) - 1))], through)
 
+    @pytest.mark.parametrize("through", THROUGH)
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(FUZZ_CONTAINERS), st.data())
-    def test_single_bit_flips(self, blob, data):
+    def test_single_bit_flips(self, through, blob, data):
         bit = data.draw(st.integers(0, 8 * len(blob) - 1))
         flipped = bytearray(blob)
         flipped[bit // 8] ^= 0x80 >> (bit % 8)
-        assert_decrypts_as_in_one_piece(bytes(flipped))
+        assert_decrypts_as_in_one_piece(bytes(flipped), through)
 
 
 class TestBench:

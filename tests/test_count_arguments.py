@@ -42,6 +42,7 @@ def until_draw(run):
 # site: (argument name, a valid value, the call taking the value)
 CASES = {
     "make_rule": ("radius", 1, lambda v: ca.make_rule(v, 30)),
+    "make_rule.rule_number": ("rule_number", 30, lambda v: ca.make_rule(1, v)),
     "rule_from_table": ("radius", 1, lambda v: ca.rule_from_table(v, RULE.table)),
     "iterate": ("steps", 3, lambda v: ca.iterate(CONFIG, RULE, Boundary.CYCLIC, v)),
     "global_map": ("cells", 3, lambda v: ca.global_map(RULE, Boundary.NULL, v)),

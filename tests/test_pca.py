@@ -226,6 +226,31 @@ class TestControlProgram:
         pca_step(cfg, CONTROLS_204_204_240_170, TABLE_204_240_170, Boundary.NULL)
         assert (len(builds), len(calls)) == (1, 1)
 
+    def test_signals_stay_as_checked(self):
+        given = np.array(CONTROLS_204_204_240_170)
+        prog = ControlProgram(given)
+        cfg = ca.parse_bits("1011")
+        before = pca.pca_run(cfg, prog, TABLE_204_240_170, Boundary.CYCLIC, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            prog.signals[1, 0] = 7
+        given[1, 0] = 1  # the caller's array is not the program's, and stays writable
+        assert np.array_equal(prog.signals, CONTROLS_204_204_240_170)
+        assert np.array_equal(pca.pca_run(cfg, prog, TABLE_204_240_170, Boundary.CYCLIC, 3),
+                              before)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_program_steps_under_its_first_row(self, boundary):
+        rng = np.random.default_rng(36)
+        prog = ControlProgram(rng.integers(0, 2, (3, 4, 2), dtype=np.uint8))
+        assert len({prog.at(t).tobytes() for t in range(3)}) > 1  # the rows vary
+        for table in (TABLE_51_195_153, TABLE_204_240_170):
+            assert (pca.induced_rule_vector(prog, table)
+                    == pca.induced_rule_vector(prog.at(0), table))
+            for code in range(16):
+                cfg = ca.int_to_state(code, 4)
+                assert np.array_equal(pca_step(cfg, prog, table, boundary),
+                                      pca.pca_run(cfg, prog, table, boundary, 1))
+
     def test_zero_steps_checks_arguments(self):
         # with no step to take, all three used to come back unchecked
         program = ControlProgram(CONTROLS_51_51_195_153)
